@@ -112,7 +112,11 @@ class Solution:
 
 @dataclass(frozen=True)
 class Failure:
-    reason: str  # 'timeout' | 'exhausted'
+    # 'timeout': the time budget ran out.  'exhausted': some goal is
+    # unreachable, or no solution exists within the horizon the caller set.
+    # 'horizon': none within the automatic horizon, which proves nothing
+    # about longer makespans.
+    reason: str
     stats: SearchStats
 
 
@@ -349,10 +353,12 @@ def _pick_option(node: CTNode, prioritize: bool) -> ConflictNode:
 def solve(instance: Instance, config: SolveConfig | None = None):
     """Find a minimum-makespan conflict-free solution, or report failure.
 
-    Returns a Solution on success, else Failure('timeout') when the budget
-    runs out or Failure('exhausted') when the tree (bounded by the horizon)
-    holds no solution.  Best-first order: makespan, then sum of costs, then
-    insertion order.
+    Returns a Solution on success, else a Failure: 'timeout' when the budget
+    runs out; 'exhausted' when some goal is unreachable, or when the tree
+    bounded by config.horizon holds no solution; 'horizon' when config.horizon
+    is None and the tree bounded by the automatic horizon holds none, which
+    does not prove that no solution exists.  Best-first order: makespan, then
+    sum of costs, then insertion order.
     """
     if config is None:
         config = SolveConfig()
@@ -404,7 +410,7 @@ def solve(instance: Instance, config: SolveConfig | None = None):
                 tick += 1
                 nodes[tick] = child
                 heapq.heappush(open_heap, (child.cost, child.soc, tick))
-        return finish(Failure("exhausted", ctx.stats))
+        return finish(Failure("exhausted" if config.horizon is not None else "horizon", ctx.stats))
     except _Timeout:
         return finish(Failure("timeout", ctx.stats))
 

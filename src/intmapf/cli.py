@@ -1,7 +1,9 @@
 """Command-line front end: solve one instance, tune a scale, run a suite, convert maps.
 
 Exit codes: 0 on success, 1 when the solver or tuner comes back empty-handed
-(timeout, exhausted tree, or no successful tuning evaluation), 2 on usage or
+(timeout; 'exhausted', a goal unreachable or no solution within --horizon;
+'horizon', the tree run out under the automatic horizon, which does not prove
+the instance unsolvable; or no successful tuning evaluation), 2 on usage or
 file-format errors.  A config file of key=value lines can preload any flag of
 the chosen subcommand; explicit flags win over the file.
 """

@@ -26,30 +26,26 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def fast_nondominated_sort(objs: np.ndarray) -> list[list[int]]:
-    """Deb's O(M N^2) sort; returns fronts as index lists, best front first."""
+    """Deb's O(M N^2) sort; returns fronts as index lists, best front first.
+
+    Each front lists its members in ascending index order.  An empty input
+    gives one empty front, [[]].
+    """
     objs = np.asarray(objs, dtype=float)
     n = len(objs)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    dom_count = np.zeros(n, dtype=int)
-    for p in range(n):
-        for q in range(p + 1, n):
-            if dominates(objs[p], objs[q]):
-                dominated_by[p].append(q)
-                dom_count[q] += 1
-            elif dominates(objs[q], objs[p]):
-                dominated_by[q].append(p)
-                dom_count[p] += 1
-    fronts: list[list[int]] = [[p for p in range(n) if dom_count[p] == 0]]
-    while True:
-        nxt: list[int] = []
-        for p in fronts[-1]:
-            for q in dominated_by[p]:
-                dom_count[q] -= 1
-                if dom_count[q] == 0:
-                    nxt.append(q)
-        if not nxt:
-            break
-        fronts.append(sorted(nxt))
+    if n == 0:
+        return [[]]
+    a = objs[:, None, :]
+    b = objs[None, :, :]
+    dom = np.all(a <= b, axis=2) & np.any(a < b, axis=2)  # dom[p, q]: p dominates q
+    dom_count = dom.sum(axis=0)
+    front = np.flatnonzero(dom_count == 0)
+    fronts: list[list[int]] = []
+    while front.size:
+        fronts.append(front.tolist())
+        dom_count[front] = -1  # peeled: never counted down to zero again
+        dom_count -= dom[front].sum(axis=0)
+        front = np.flatnonzero(dom_count == 0)
     return fronts
 
 

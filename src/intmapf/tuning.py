@@ -23,12 +23,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 from .cbs import Solution, SolveConfig, solve
 from .graph import RealGraph, discretization_error, discretize, shortest_path
 from .mapio import Instance
-from .nsga import nsga2_evolve
+from .nsga import dominates, nsga2_evolve
 
 __all__ = [
     "Observation",
@@ -111,16 +112,23 @@ class SurrogatePosterior:
         return float(sd[0]) if scalar else sd
 
 
+def _gram(d2: np.ndarray, ell: float, sf2: float, sn2: float) -> np.ndarray:
+    """Kernel matrix plus the (jitter-floored) noise variance on its diagonal."""
+    K = sf2 * np.exp(-0.5 * d2 / (ell * ell))
+    K.flat[:: len(K) + 1] += max(sn2, _MIN_JITTER)
+    return K
+
+
 def _nll(log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, fixed_sn2: float | None) -> float:
+    # dpotrf/dpotrs are the LAPACK calls behind cho_factor/cho_solve, minus
+    # their per-call input checks; L-BFGS calls this thousands of times per tune.
     ell, sf2 = math.exp(log_params[0]), math.exp(log_params[1])
     sn2 = fixed_sn2 if fixed_sn2 is not None else math.exp(log_params[2])
     n = len(y)
-    K = sf2 * np.exp(-0.5 * d2 / (ell * ell)) + max(sn2, _MIN_JITTER) * np.eye(n)
-    try:
-        c, low = cho_factor(K, lower=True)
-    except np.linalg.LinAlgError:
+    c, info = dpotrf(_gram(d2, ell, sf2, sn2), lower=1, clean=0, overwrite_a=1)
+    if info != 0:
         return 1e25
-    alpha = cho_solve((c, low), y)
+    alpha, _ = dpotrs(c, y, lower=1)
     return float(0.5 * y @ alpha + np.sum(np.log(np.diag(c))) + 0.5 * n * math.log(2 * math.pi))
 
 
@@ -185,9 +193,7 @@ def fit_surrogate(
     ell = math.exp(best_params[0])
     sf2 = math.exp(best_params[1])
     sn2 = noise_variance if noise_variance is not None else math.exp(best_params[2])
-    n = len(y)
-    K = sf2 * np.exp(-0.5 * d2 / (ell * ell)) + max(sn2, _MIN_JITTER) * np.eye(n)
-    c, low = cho_factor(K, lower=True)
+    c, low = cho_factor(_gram(d2, ell, sf2, sn2), lower=True)
     alpha = cho_solve((c, low), y)
     L = np.tril(c) if low else np.triu(c).T
     return SurrogatePosterior(x_norm, alpha, L, ell, sf2, sn2, x_lo, x_span, y_mean, y_std)
@@ -240,9 +246,9 @@ class ParetoArchive:
         keep: list[tuple[float, tuple[float, float]]] = []
         for old_s, old_f in self._points:
             of = np.asarray(old_f)
-            if bool(np.all(of <= f)) and bool(np.any(of < f)):
-                return False  # dominated by an existing point
-            if not (bool(np.all(f <= of)) and bool(np.any(f < of))):
+            if dominates(of, f):
+                return False
+            if not dominates(f, of):
                 keep.append((old_s, old_f))
         keep.append((s, (float(f[0]), float(f[1]))))
         self._points = keep

@@ -227,6 +227,25 @@ def test_swap_on_a_path_is_exhausted():
     assert out.reason == "exhausted"
 
 
+def test_tree_run_out_under_automatic_horizon_is_horizon():
+    # the automatic horizon here is 4 and the optimum is 5
+    g = _graph(6, [(0, 1, 1), (0, 2, 1), (0, 4, 1), (2, 3, 1), (3, 5, 1)])
+    inst = Instance(g, (2, 3), (3, 2))
+    out = solve(inst)
+    assert isinstance(out, Failure)
+    assert out.reason == "horizon"
+    out = solve(inst, SolveConfig(horizon=5))
+    assert isinstance(out, Solution) and out.makespan == 5
+    assert validate_solution(inst, out.plans) == []
+
+
+def test_unreachable_goal_is_exhausted_under_automatic_horizon():
+    g = _graph(3, [(0, 1, 1)])
+    out = solve(Instance(g, (0,), (2,)))
+    assert isinstance(out, Failure)
+    assert out.reason == "exhausted"
+
+
 def test_zero_timeout_reports_timeout():
     inst = Instance(_grid2x2(), (0, 1), (1, 0))
     out = solve(inst, SolveConfig(timeout=0.0))

@@ -246,6 +246,42 @@ def test_discretization_error_is_unclamped_and_per_traversal():
     assert discretization_error(g, 1.0, [[0, 0, 1, 1]]) == pytest.approx(0.2)
 
 
+def test_discretization_error_matches_reference_loop():
+    def reference(g, s, paths):
+        total = 0.0
+        for path in paths:
+            for u, v in zip(path, path[1:]):
+                if u != v:
+                    w = g.weight(u, v)
+                    total += abs(w - round_half_away(w / s) * s)
+        return total
+
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = 9
+        quarters = trial % 2 == 0  # weights and scales that put w / s exactly on k + 0.5
+        edges = [
+            (u, v, float(rng.integers(1, 13)) * 0.25 if quarters else float(rng.uniform(0.2, 3.0)))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.5
+        ]
+        g = RealGraph(_line_vertices(n), edges)
+        paths = []
+        for _ in range(4):
+            path = [int(rng.integers(n))]
+            for _ in range(12):
+                nbrs = g.adjacency[path[-1]]
+                stay = not nbrs or rng.random() < 0.2
+                path.append(path[-1] if stay else nbrs[int(rng.integers(len(nbrs)))][0])
+            paths.append(path)
+        scales = (0.5, 1.0, 0.25, 2.0) if quarters else (float(rng.uniform(0.05, 2.0)),)
+        for s in scales:
+            assert discretization_error(g, s, paths) == reference(g, s, paths)
+    g = RealGraph(_line_vertices(3), [(0, 1, 1.5), (1, 2, 2.5)])
+    assert discretization_error(g, 1.0, [[0, 1, 2, 1]]) == reference(g, 1.0, [[0, 1, 2, 1]]) == 1.5
+
+
 def test_discretization_error_rejects_unknown_edge():
     g = RealGraph(_line_vertices(3), [(0, 1, 1.0)])
     with pytest.raises(ValueError):

@@ -12,11 +12,13 @@ import random
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from intmapf import Observation, ParetoArchive, TuneConfig, TuneResult, tune, tune_graph
 from intmapf.graph import RealGraph, Vertex, discretization_error
 from intmapf.mapio import Instance
 from intmapf.tuning import (
+    _nll,
     fit_surrogate,
     format_tune_report,
     lcb,
@@ -88,6 +90,40 @@ def test_duplicate_scales_fit_without_blowup():
     post = fit_surrogate(_obs([(0.5, 1.0), (0.5, 4.0), (1.0, 2.0)]), seed=4)
     assert math.isfinite(post.mean(0.7))
     assert math.isfinite(post.std(0.7))
+
+
+def _nll_reference(log_params, d2, y, fixed_sn2):
+    ell, sf2 = math.exp(log_params[0]), math.exp(log_params[1])
+    sn2 = fixed_sn2 if fixed_sn2 is not None else math.exp(log_params[2])
+    n = len(y)
+    K = sf2 * np.exp(-0.5 * d2 / (ell * ell)) + max(sn2, 1e-8) * np.eye(n)
+    try:
+        c, low = cho_factor(K, lower=True)
+    except np.linalg.LinAlgError:
+        return 1e25
+    alpha = cho_solve((c, low), y)
+    return float(0.5 * y @ alpha + np.sum(np.log(np.diag(c))) + 0.5 * n * math.log(2 * math.pi))
+
+
+def test_nll_equals_cho_factor_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n = int(rng.integers(2, 26))
+        x = rng.random(n)
+        x[-1] = x[0]  # a repeated scale, as the tuner produces
+        d2 = (x[:, None] - x[None, :]) ** 2
+        y = rng.normal(size=n)
+        log_params = np.array([rng.uniform(-4.6, 2.3), rng.uniform(-9.2, 4.6), rng.uniform(-20.0, 2.3)])
+        fixed = None if trial % 2 else float(math.exp(rng.uniform(-20.0, 0.0)))
+        if fixed is not None:
+            log_params = log_params[:2]
+        assert _nll(log_params, d2, y, fixed) == _nll_reference(log_params, d2, y, fixed)
+    # off-diagonal weights above the diagonal's make K indefinite
+    d2 = np.array([[0.0, -10.0], [-10.0, 0.0]])
+    y = np.array([0.5, -0.5])
+    assert _nll_reference(np.zeros(3), d2, y, None) == 1e25
+    assert _nll(np.zeros(3), d2, y, None) == 1e25
+    assert _nll(np.zeros(2), d2, y, 0.01) == 1e25
 
 
 def test_surrogate_needs_two_observations():
