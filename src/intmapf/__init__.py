@@ -49,7 +49,6 @@ from .cbs import (
 from .nsga import nsga2_evolve
 from .tuning import (
     Observation,
-    ParetoArchive,
     TuneConfig,
     TuneResult,
     fit_surrogate,

@@ -92,7 +92,7 @@ class ResultRow:
     success: bool
     makespan: int | None
     runtime_s: float
-    ct_nodes: int
+    ct_nodes: int  # SearchStats.nodes_expanded
     ll_calls: int
     s_used: float
     error: float | None

@@ -1,19 +1,22 @@
 """Conflict-based search over integer-weighted graphs with timed traversals.
 
 The high level runs best-first search on a binary constraint tree.  Each node
-holds a constraint set plus one optimal plan per agent under it; expanding a
-node picks one conflict between two plans and splits on it.  A vertex conflict
+stands for a constraint set and holds one optimal plan per agent under it;
+expanding a node splits on one conflict between two plans.  A vertex conflict
 splits into two negative vertex constraints, or, with disjoint splitting
 enabled, into a positive constraint for one agent (every other agent then
 inherits it as a negative) and the matching negative.  An edge conflict always
 splits into two negative edge-interval constraints, each handing one agent the
 other's traversal window.
 
-Conflicts found at node creation are classified by how the two candidate
-children's costs move: both strictly above the node's cost is cardinal, one is
-semi-cardinal, none is non-cardinal.  Expansion prefers cardinal conflicts, so
-the classification work (replanning both branches up front, per-conflict)
-doubles as child construction.
+A node picks its conflict when it is created: the first lazy_pc conflicts are
+classified by how the two candidate children's costs move (both strictly above
+the node's cost is cardinal, one is semi-cardinal, none is non-cardinal), and
+the highest class wins, the earliest conflict on ties.  With lazy_pc=1 the
+earliest conflict is the only candidate, so nothing is prioritized.
+Classifying replans both branches, so the node keeps only the picked
+conflict's branches, each with its full constraint set: they are the children
+its expansion will add.
 
 Occupancy follows the plan steps: a step pair (u, t_a) -> (v, t_b) occupies u
 at t_a, the edge during the open span (t_a, t_b), and v at t_b; after its last
@@ -37,7 +40,6 @@ from .sipp import EMPTY_CONSTRAINTS, ConstraintSet, TimedPlan, sipp_plan
 __all__ = [
     "Conflict",
     "Branch",
-    "ConflictNode",
     "CTNode",
     "SearchStats",
     "Solution",
@@ -69,30 +71,19 @@ class Conflict:
 
 @dataclass(frozen=True)
 class Branch:
-    """One child candidate: added constraints, replanned plans, resulting cost."""
+    """One child candidate: its full constraint set, replanned plans, resulting cost."""
 
-    delta: ConstraintSet
+    constraints: ConstraintSet
     plans: dict[int, TimedPlan]
     cost: float  # math.inf when some constrained agent has no plan
 
 
 @dataclass(frozen=True)
-class ConflictNode:
-    """A conflict with both branch candidates built and its priority class."""
-
-    conflict: Conflict
-    branches: tuple[Branch, ...]
-    pc_class: str  # 'cardinal' | 'semi' | 'non'
-
-
-@dataclass(frozen=True)
 class CTNode:
-    constraints: ConstraintSet
     plans: tuple[TimedPlan, ...]
     cost: int
     soc: int
-    conflicts: tuple[Conflict, ...]
-    options: tuple[ConflictNode, ...]  # classified prefix of conflicts
+    branches: tuple[Branch, ...] | None  # the picked conflict's children; None when conflict-free
 
 
 @dataclass
@@ -123,8 +114,9 @@ class Failure:
 @dataclass(frozen=True)
 class SolveConfig:
     disjoint: bool = False
-    prioritize: bool = True
-    lazy_pc: int | None = 8  # classify at most this many conflicts per node
+    # classify at most this many conflicts per node (None: all); 1 expands the
+    # earliest conflict, which turns prioritization off
+    lazy_pc: int | None = 8
     timeout: float | None = None  # seconds
     horizon: int | None = None
 
@@ -303,7 +295,7 @@ def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan]) -
     return sorted(agents)
 
 
-def _classify(ctx: _Ctx, constraints: ConstraintSet, plans: Sequence[TimedPlan], parent_cost: int, conflict: Conflict) -> ConflictNode:
+def _branches(ctx: _Ctx, constraints: ConstraintSet, plans: Sequence[TimedPlan], conflict: Conflict) -> tuple[Branch, ...]:
     branches = []
     for delta in make_branch_constraints(conflict, ctx.config.disjoint):
         ctx.check_deadline()
@@ -321,33 +313,24 @@ def _classify(ctx: _Ctx, constraints: ConstraintSet, plans: Sequence[TimedPlan],
         else:
             new_plans = {}
             cost = math.inf
-        branches.append(Branch(delta, new_plans, cost))
-    return ConflictNode(conflict, tuple(branches), classify_conflict(parent_cost, [b.cost for b in branches]))
-
-
-def _make_node(ctx: _Ctx, constraints: ConstraintSet, plans: tuple[TimedPlan, ...]) -> CTNode:
-    cost = max(p.cost for p in plans)
-    soc = sum(p.cost for p in plans)
-    conflicts = tuple(detect_conflicts(plans, cost))
-    if ctx.config.prioritize:
-        limit = len(conflicts) if ctx.config.lazy_pc is None else ctx.config.lazy_pc
-    else:
-        limit = 1  # branch plans are still built for the conflict that will be expanded
-    options = tuple(_classify(ctx, constraints, plans, cost, c) for c in conflicts[:limit])
-    return CTNode(constraints, plans, cost, soc, conflicts, options)
+        branches.append(Branch(child_constraints, new_plans, cost))
+    return tuple(branches)
 
 
 _PC_RANK = {"cardinal": 2, "semi": 1, "non": 0}
 
 
-def _pick_option(node: CTNode, prioritize: bool) -> ConflictNode:
-    if not prioritize:
-        return node.options[0]
-    best = node.options[0]
-    for opt in node.options[1:]:
-        if _PC_RANK[opt.pc_class] > _PC_RANK[best.pc_class]:
-            best = opt
-    return best  # ties keep the earliest conflict
+def _make_node(ctx: _Ctx, constraints: ConstraintSet, plans: tuple[TimedPlan, ...]) -> CTNode:
+    """Node for these plans, holding the branches of the conflict it will split."""
+    cost = max(p.cost for p in plans)
+    soc = sum(p.cost for p in plans)
+    conflicts = detect_conflicts(plans, cost)
+    if not conflicts:
+        return CTNode(plans, cost, soc, None)
+    options = (_branches(ctx, constraints, plans, c) for c in conflicts[: ctx.config.lazy_pc])
+    # max returns the first maximum, so ties keep the earliest conflict
+    branches = max(options, key=lambda bs: _PC_RANK[classify_conflict(cost, [b.cost for b in bs])])
+    return CTNode(plans, cost, soc, branches)
 
 
 def solve(instance: Instance, config: SolveConfig | None = None):
@@ -384,32 +367,24 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             root_plans.append(p)
         root = _make_node(ctx, EMPTY_CONSTRAINTS, tuple(root_plans))
         ctx.stats.nodes_generated += 1
-        open_heap: list[tuple[int, int, int]] = []
-        nodes: dict[int, CTNode] = {}
+        # the unique tick settles every tie, so nodes themselves are never compared
         tick = 0
-        heapq.heappush(open_heap, (root.cost, root.soc, tick))
-        nodes[tick] = root
+        open_heap: list[tuple[int, int, int, CTNode]] = [(root.cost, root.soc, tick, root)]
         while open_heap:
             ctx.check_deadline()
-            cost, soc, idx = heapq.heappop(open_heap)
-            node = nodes.pop(idx)
+            node = heapq.heappop(open_heap)[3]
             ctx.stats.nodes_expanded += 1
-            if not node.conflicts:
+            if node.branches is None:
                 return finish(Solution(node.plans, node.cost, ctx.stats))
-            option = _pick_option(node, config.prioritize)
-            for branch in option.branches:
+            for branch in node.branches:
                 if math.isinf(branch.cost):
                     continue
-                child_constraints = node.constraints.union(branch.delta)
-                child_plans = tuple(
-                    branch.plans.get(a, node.plans[a]) for a in range(len(node.plans))
-                )
-                child = _make_node(ctx, child_constraints, child_plans)
+                child_plans = tuple(branch.plans.get(a, p) for a, p in enumerate(node.plans))
+                child = _make_node(ctx, branch.constraints, child_plans)
                 assert child.cost >= node.cost, "constraint tree cost must not decrease"
                 ctx.stats.nodes_generated += 1
                 tick += 1
-                nodes[tick] = child
-                heapq.heappush(open_heap, (child.cost, child.soc, tick))
+                heapq.heappush(open_heap, (child.cost, child.soc, tick, child))
         return finish(Failure("exhausted" if config.horizon is not None else "horizon", ctx.stats))
     except _Timeout:
         return finish(Failure("timeout", ctx.stats))

@@ -44,10 +44,17 @@ def _load_instance(args):
 def _solve_config(args) -> SolveConfig:
     return SolveConfig(
         disjoint=args.disjoint,
-        prioritize=not args.no_pc,
         lazy_pc=args.lazy_pc,
         timeout=args.timeout,
         horizon=args.horizon,
+    )
+
+
+def _tune_config(args) -> TuneConfig:
+    return TuneConfig(
+        s_min=args.s_min, s_max=args.s_max, budget=args.budget,
+        population=args.population, generations=args.generations,
+        delta=args.delta, eval_timeout=args.eval_timeout,
     )
 
 
@@ -57,12 +64,7 @@ def _cmd_solve(args) -> int:
     if args.baseline:
         s = 1.0
     if args.tune:
-        cfg = TuneConfig(
-            s_min=args.s_min, s_max=args.s_max, budget=args.budget,
-            population=args.population, generations=args.generations,
-            delta=args.delta, eval_timeout=args.eval_timeout,
-        )
-        tuned = tune_graph(inst, cfg, solve_config=_solve_config(args), seed=args.seed)
+        tuned = tune_graph(inst, _tune_config(args), solve_config=_solve_config(args), seed=args.seed)
         if tuned.best_s is None:
             print("tuning found no successful evaluation", file=sys.stderr)
             return 1
@@ -97,12 +99,7 @@ def _print_stats(stats, s: float) -> None:
 
 def _cmd_tune(args) -> int:
     inst = _load_instance(args)
-    cfg = TuneConfig(
-        s_min=args.s_min, s_max=args.s_max, budget=args.budget,
-        population=args.population, generations=args.generations,
-        delta=args.delta, eval_timeout=args.eval_timeout,
-    )
-    result = tune_graph(inst, cfg, solve_config=_solve_config(args), seed=args.seed)
+    result = tune_graph(inst, _tune_config(args), solve_config=_solve_config(args), seed=args.seed)
     report = format_tune_report(result)
     if args.out:
         Path(args.out).write_text(report)
@@ -167,8 +164,10 @@ def _add_map_flags(p: argparse.ArgumentParser, need_agents: bool = True) -> None
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--disjoint", action="store_true", help="split vertex conflicts disjointly")
-    p.add_argument("--no-pc", action="store_true", help="disable conflict prioritization")
-    p.add_argument("--lazy-pc", type=int, default=8, help="conflicts classified per node")
+    p.add_argument(
+        "--lazy-pc", type=int, default=8,
+        help="conflicts classified per node; 1 expands the earliest conflict (no prioritization)",
+    )
     p.add_argument("--timeout", type=float, default=None, help="solver budget in seconds")
     p.add_argument("--horizon", type=int, default=None, help="latest allowed arrival time")
 

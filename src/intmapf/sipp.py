@@ -238,19 +238,16 @@ def sipp_plan(
     start_key: State = (start, ivl0, wp0)
     best: dict[State, int] = {start_key: 0}
     parent: dict[State, tuple[State, int, int]] = {}  # child -> (parent, depart, arrive)
+    # entries are (f, -g, vertex, counter, state); the unique counter settles
+    # every tie, so states themselves are never compared
     counter = 0
-    h0 = dist[start]
-    heap: list[tuple[float, int, int, int]] = [(h0, 0, 0, counter)]
-    keys: dict[int, State] = {counter: start_key}
+    heap: list[tuple[float, int, int, int, State]] = [(dist[start], 0, start, counter, start_key)]
 
     def goal_ready(v: int, hi: float, wp: int) -> bool:
         return v == goal and hi == math.inf and all(wv == goal for _, wv in wps[wp:])
 
     while heap:
-        f, neg_g, _, cnt = heapq.heappop(heap)
-        key = keys.pop(cnt, None)
-        if key is None:
-            continue
+        _, neg_g, _, _, key = heapq.heappop(heap)
         v, ivl, wp = key
         a = -neg_g
         if a > best.get(key, math.inf):
@@ -277,8 +274,7 @@ def sipp_plan(
                         best[ckey] = wt
                         parent[ckey] = (key, wt, wt)
                         counter += 1
-                        keys[counter] = ckey
-                        heapq.heappush(heap, (wt + dist[v], -wt, v, counter))
+                        heapq.heappush(heap, (wt + dist[v], -wt, v, counter, ckey))
         for u, w in graph.adjacency[v]:
             if dist[u] == math.inf:
                 continue
@@ -315,8 +311,7 @@ def sipp_plan(
                             best[nkey] = t
                             parent[nkey] = (key, d, t)
                             counter += 1
-                            keys[counter] = nkey
-                            heapq.heappush(heap, (t + dist[u], -t, u, counter))
+                            heapq.heappush(heap, (t + dist[u], -t, u, counter, nkey))
                     break  # earliest departure into this interval found
     return None
 

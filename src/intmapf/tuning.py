@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -29,14 +29,13 @@ from scipy.optimize import minimize
 from .cbs import Solution, SolveConfig, solve
 from .graph import RealGraph, discretization_error, discretize, shortest_path
 from .mapio import Instance
-from .nsga import dominates, nsga2_evolve
+from .nsga import fast_nondominated_sort, nsga2_evolve
 
 __all__ = [
     "Observation",
     "SurrogatePosterior",
     "TuneConfig",
     "IterationRecord",
-    "ParetoArchive",
     "TuneResult",
     "fit_surrogate",
     "lcb",
@@ -195,7 +194,7 @@ def fit_surrogate(
     sn2 = noise_variance if noise_variance is not None else math.exp(best_params[2])
     c, low = cho_factor(_gram(d2, ell, sf2, sn2), lower=True)
     alpha = cho_solve((c, low), y)
-    L = np.tril(c) if low else np.triu(c).T
+    L = np.tril(c)  # lower=True: the factor sits in the lower triangle
     return SurrogatePosterior(x_norm, alpha, L, ell, sf2, sn2, x_lo, x_span, y_mean, y_std)
 
 
@@ -232,33 +231,6 @@ def score_candidates(post: SurrogatePosterior, s_values, t: int, delta: float, e
         return (v - v.min()) / span
 
     return norm(a) + norm(c)
-
-
-class ParetoArchive:
-    """Non-dominated (runtime, error) pairs seen so far, with their scales."""
-
-    def __init__(self) -> None:
-        self._points: list[tuple[float, tuple[float, float]]] = []
-
-    def insert(self, s: float, objs: tuple[float, float]) -> bool:
-        """Add a point unless dominated; drop members the new point dominates."""
-        f = np.asarray(objs, dtype=float)
-        keep: list[tuple[float, tuple[float, float]]] = []
-        for old_s, old_f in self._points:
-            of = np.asarray(old_f)
-            if dominates(of, f):
-                return False
-            if not dominates(f, of):
-                keep.append((old_s, old_f))
-        keep.append((s, (float(f[0]), float(f[1]))))
-        self._points = keep
-        return True
-
-    def __iter__(self) -> Iterator[tuple[float, tuple[float, float]]]:
-        return iter(self._points)
-
-    def __len__(self) -> int:
-        return len(self._points)
 
 
 @dataclass(frozen=True)
@@ -301,6 +273,7 @@ class TuneResult:
     best_s: float | None  # None when every evaluation failed
     observations: tuple[Observation, ...]
     records: tuple[IterationRecord, ...]
+    # (s, (runtime, error)) of the non-dominated observations, in observation order
     pareto: tuple[tuple[float, tuple[float, float]], ...]
     regret_trace: tuple[tuple[float, float], ...]  # cumulative (runtime, error) regret
 
@@ -330,7 +303,6 @@ def tune(
     incumbent = initial_paths
     obs: list[Observation] = []
     records: list[IterationRecord] = []
-    archive = ParetoArchive()
 
     def c_of(s: float) -> float:
         return error_fn(float(s), incumbent) if incumbent is not None else 0.0
@@ -343,13 +315,12 @@ def tune(
         err = c_of(s)
         o = Observation(float(s), float(runtime), bool(success), float(err))
         obs.append(o)
-        archive.insert(o.s, (o.runtime, o.error))
         records.append(IterationRecord(len(obs), o.s, o.runtime, o.error, o.success, lcb_v, score_v))
 
     lo, hi = config.s_min, config.s_max
     if lo == hi:
         observe(lo, None, None)
-        return _wrap_up(obs, records, archive)
+        return _wrap_up(obs, records)
     bootstrap = [lo, hi, math.sqrt(lo * hi)][: config.budget]
     for s0 in bootstrap:
         observe(s0, None, None)
@@ -367,7 +338,7 @@ def tune(
         scores = score_candidates(post, front_x, t_next, config.delta, front_f[:, 1])
         pick = int(np.argmin(scores))
         observe(float(front_x[pick]), float(front_f[pick, 0]), float(scores[pick]))
-    return _wrap_up(obs, records, archive)
+    return _wrap_up(obs, records)
 
 
 def _biased_population(rng: np.random.Generator, obs: list[Observation], config: TuneConfig) -> np.ndarray:
@@ -385,18 +356,20 @@ def _biased_population(rng: np.random.Generator, obs: list[Observation], config:
     return np.clip(np.concatenate([uniform, elites]), lo, hi)
 
 
-def _wrap_up(obs: list[Observation], records: list[IterationRecord], archive: ParetoArchive) -> TuneResult:
+def _wrap_up(obs: list[Observation], records: list[IterationRecord]) -> TuneResult:
     successes = [o for o in obs if o.success]
     best_s = min(successes, key=lambda o: (o.runtime, o.error, o.s)).s if successes else None
     runtimes = np.array([o.runtime for o in obs])
     errors = np.array([o.error for o in obs])
+    front = fast_nondominated_sort(np.column_stack([runtimes, errors]))[0]
+    pareto = tuple((obs[i].s, (obs[i].runtime, obs[i].error)) for i in front)
     r_best = runtimes.min()
     e_best = errors.min()
     trace = tuple(
         (float(c1), float(c2))
         for c1, c2 in zip(np.cumsum(runtimes - r_best), np.cumsum(errors - e_best))
     )
-    return TuneResult(best_s, tuple(obs), tuple(records), tuple(archive), trace)
+    return TuneResult(best_s, tuple(obs), tuple(records), pareto, trace)
 
 
 def tune_graph(

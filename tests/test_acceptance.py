@@ -244,9 +244,10 @@ def test_criterion_3_conflict_detection():
 def test_criterion_4_splitting_and_prioritization():
     rng = random.Random(404)
     configs = {
-        "ds_pc": SolveConfig(horizon=40, timeout=15.0, disjoint=True, prioritize=True),
-        "nd_pc": SolveConfig(horizon=40, timeout=15.0, disjoint=False, prioritize=True),
-        "nd_np": SolveConfig(horizon=40, timeout=15.0, disjoint=False, prioritize=False),
+        "ds_pc": SolveConfig(horizon=40, timeout=15.0, disjoint=True),
+        "nd_pc": SolveConfig(horizon=40, timeout=15.0, disjoint=False),
+        # one classified conflict per node: the earliest is expanded, unprioritized
+        "nd_np": SolveConfig(horizon=40, timeout=15.0, disjoint=False, lazy_pc=1),
     }
     nodes = {k: [] for k in configs}
     kept = attempts = 0

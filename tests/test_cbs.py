@@ -6,8 +6,10 @@ parked agents).  Random sweeps check detect_conflicts against a per-timestep
 occupancy oracle and the solver's makespan against a joint product-state BFS.
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ from intmapf.cbs import SearchStats, classify_conflict, make_branch_constraints
 from intmapf.graph import RealGraph
 
 from oracles import first_conflicts, joint_optimal_makespan
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _graph(n, edges):
@@ -276,8 +280,8 @@ def test_config_variants_agree_on_makespan():
     configs = [
         SolveConfig(horizon=40, timeout=10.0),
         SolveConfig(horizon=40, timeout=10.0, disjoint=True),
-        SolveConfig(horizon=40, timeout=10.0, prioritize=False),
-        SolveConfig(horizon=40, timeout=10.0, disjoint=True, prioritize=False),
+        SolveConfig(horizon=40, timeout=10.0, lazy_pc=1),
+        SolveConfig(horizon=40, timeout=10.0, disjoint=True, lazy_pc=1),
         SolveConfig(horizon=40, timeout=10.0, lazy_pc=None),
     ]
     solved = 0
@@ -299,6 +303,39 @@ def test_config_variants_agree_on_makespan():
             assert validate_solution(inst, out.plans) == []
         solved += 1
     assert solved >= 18
+
+
+# the configs tests/fixtures/cbs_pins.json records, by its key; the timeout
+# only turns a search gone wrong into a failure instead of a hang
+_PINNED_CONFIGS = {
+    "default": SolveConfig(timeout=30.0),
+    "disjoint": SolveConfig(disjoint=True, timeout=30.0),
+    "lazy_pc=1": SolveConfig(lazy_pc=1, timeout=30.0),
+    "lazy_pc=1+disjoint": SolveConfig(lazy_pc=1, disjoint=True, timeout=30.0),
+    "lazy_pc=None": SolveConfig(lazy_pc=None, timeout=30.0),
+}
+
+
+def test_search_matches_pinned_plans_and_counters():
+    # Small conflict-heavy instances with the plans and search counters the
+    # solver gave when they were recorded.  A change that means to keep the
+    # search as it is must reproduce them exactly; each run gives
+    # (nodes_expanded, nodes_generated, low_level_calls, index into plans).
+    cases = json.loads((FIXTURES / "cbs_pins.json").read_text())
+    assert len(cases) == 15
+    for case in cases:
+        g = _graph(case["n"], [tuple(e) for e in case["edges"]])
+        inst = Instance(g, tuple(case["starts"]), tuple(case["goals"]))
+        plan_sets = [tuple(_plan(*map(tuple, steps)) for steps in ps) for ps in case["plans"]]
+        for name, cfg in _PINNED_CONFIGS.items():
+            expanded, generated, calls, which = case["runs"][name]
+            out = solve(inst, cfg)
+            where = (case["starts"], case["goals"], name)
+            assert isinstance(out, Solution), where
+            assert out.plans == plan_sets[which], where
+            assert out.makespan == max(p.cost for p in out.plans), where
+            stats = (out.stats.nodes_expanded, out.stats.nodes_generated, out.stats.low_level_calls)
+            assert stats == (expanded, generated, calls), where
 
 
 def test_solve_is_deterministic():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from intmapf import Observation, ParetoArchive, TuneConfig, TuneResult, tune, tune_graph
+from intmapf import Observation, TuneConfig, TuneResult, tune, tune_graph
 from intmapf.graph import RealGraph, Vertex, discretization_error
 from intmapf.mapio import Instance
 from intmapf.tuning import (
@@ -25,7 +25,7 @@ from intmapf.tuning import (
     score_candidates,
 )
 
-from oracles import gp_direct
+from oracles import gp_direct, pareto_fronts_peel
 
 # frozen by hand: 2 log(2^2.5 pi^2 / 0.3) and the bound mu=1, sigma=0.5 gives
 _BETA_T2_D01 = 10.452601054849199
@@ -208,26 +208,36 @@ def test_score_shape_mismatch_raises():
         score_candidates(_StubPost(0.0, 1.0), [0.1, 0.2], 1, 0.1, [1.0])
 
 
-# ---------------------------------------------------------------- archive
+# ---------------------------------------------------------------- pareto front
 
 
-def test_archive_keeps_only_nondominated():
-    a = ParetoArchive()
-    assert a.insert(1.0, (5.0, 5.0))
-    assert a.insert(2.0, (3.0, 7.0))  # trade-off, both stay
-    assert len(a) == 2
-    assert not a.insert(3.0, (6.0, 6.0))  # dominated by the first
-    assert len(a) == 2
-    assert a.insert(4.0, (2.0, 4.0))  # dominates both originals? no: (5,5) yes, (3,7) yes
-    assert len(a) == 1
-    assert list(a) == [(4.0, (2.0, 4.0))]
+def test_tune_pareto_is_the_first_front_in_observation_order():
+    # scripted (runtime, error) per evaluation; error_fn reads the evaluation
+    # index back from the incumbent paths
+    script = [
+        (5.0, 5.0),
+        (3.0, 7.0),  # trade-off with the first: both stay
+        (6.0, 6.0),  # dominated by the first
+        (4.0, 8.0),  # dominated later, by the last
+        (5.0, 5.0),  # exact duplicate of the first: equal points do not dominate
+        (2.0, 8.0),  # the later dominator
+    ]
+    calls = []
 
+    def eval_fn(s):
+        calls.append(s)
+        return script[len(calls) - 1][0], True, [[len(calls) - 1]]
 
-def test_archive_keeps_duplicates_of_equal_points():
-    a = ParetoArchive()
-    assert a.insert(1.0, (2.0, 2.0))
-    assert a.insert(2.0, (2.0, 2.0))  # equal objectives do not dominate
-    assert len(a) == 2
+    def error_fn(_s, paths):
+        return script[paths[0][0]][1]
+
+    cfg = TuneConfig(s_min=0.1, s_max=1.0, budget=len(script), population=4, generations=2)
+    res = tune(eval_fn, error_fn, cfg, seed=3)
+    assert [(o.runtime, o.error) for o in res.observations] == script
+    front = pareto_fronts_peel(np.array(script))[0]
+    assert front == [0, 1, 4, 5]
+    obs = res.observations
+    assert res.pareto == tuple((obs[i].s, (obs[i].runtime, obs[i].error)) for i in front)
 
 
 # ---------------------------------------------------------------- tune loop
