@@ -211,17 +211,12 @@ def test_score_shape_mismatch_raises():
 # ---------------------------------------------------------------- pareto front
 
 
-def test_tune_pareto_is_the_first_front_in_observation_order():
-    # scripted (runtime, error) per evaluation; error_fn reads the evaluation
-    # index back from the incumbent paths
-    script = [
-        (5.0, 5.0),
-        (3.0, 7.0),  # trade-off with the first: both stay
-        (6.0, 6.0),  # dominated by the first
-        (4.0, 8.0),  # dominated later, by the last
-        (5.0, 5.0),  # exact duplicate of the first: equal points do not dominate
-        (2.0, 8.0),  # the later dominator
-    ]
+def _scripted_pareto(script):
+    """Run ``tune`` whose i-th evaluation scores ``script[i]`` as (runtime, error).
+
+    The error function reads the evaluation index back from the incumbent
+    paths.  Returns the result and the first front of ``script`` by peeling.
+    """
     calls = []
 
     def eval_fn(s):
@@ -234,10 +229,37 @@ def test_tune_pareto_is_the_first_front_in_observation_order():
     cfg = TuneConfig(s_min=0.1, s_max=1.0, budget=len(script), population=4, generations=2)
     res = tune(eval_fn, error_fn, cfg, seed=3)
     assert [(o.runtime, o.error) for o in res.observations] == script
-    front = pareto_fronts_peel(np.array(script))[0]
-    assert front == [0, 1, 4, 5]
+    return res, pareto_fronts_peel(np.array(script))[0]
+
+
+def _front_obs(res, front):
     obs = res.observations
-    assert res.pareto == tuple((obs[i].s, (obs[i].runtime, obs[i].error)) for i in front)
+    return tuple((obs[i].s, (obs[i].runtime, obs[i].error)) for i in front)
+
+
+def test_archive_keeps_only_nondominated():
+    # the tuner's Pareto archive is the first front, in observation order
+    script = [
+        (5.0, 5.0),
+        (3.0, 7.0),  # trade-off with the first: both stay
+        (6.0, 6.0),  # dominated by the first
+        (4.0, 8.0),  # dominated later, by the last
+        (2.0, 8.0),  # the later dominator
+    ]
+    res, front = _scripted_pareto(script)
+    assert front == [0, 1, 4]
+    assert res.pareto == _front_obs(res, front)
+
+
+def test_archive_keeps_duplicates_of_equal_points():
+    script = [
+        (2.0, 2.0),
+        (2.0, 2.0),  # exact duplicate: equal points do not dominate
+        (3.0, 3.0),  # dominated by both
+    ]
+    res, front = _scripted_pareto(script)
+    assert front == [0, 1]
+    assert res.pareto == _front_obs(res, front)
 
 
 # ---------------------------------------------------------------- tune loop
