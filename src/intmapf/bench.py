@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -145,9 +146,7 @@ def _case_instance(case: MapCase, scenario: int, n_agents: int) -> Instance:
     return Instance(case.graph, starts, goals)
 
 
-def _run_row(case: MapCase, scenario: int, n_agents: int, mode: str, s_used: float, solver: SolveConfig) -> ResultRow:
-    real_inst = _case_instance(case, scenario, n_agents)
-    inst = replace(real_inst, graph=discretize(case.graph, s_used))
+def _run_row(case: MapCase, inst: Instance, scenario: int, n_agents: int, mode: str, s_used: float, solver: SolveConfig) -> ResultRow:
     t0 = _time.perf_counter()
     result = solve(inst, solver)
     rt = _time.perf_counter() - t0
@@ -157,7 +156,7 @@ def _run_row(case: MapCase, scenario: int, n_agents: int, mode: str, s_used: flo
             raise RuntimeError(
                 f"solver returned an invalid solution on {case.name} scenario {scenario}: {bad[0].detail}"
             )
-        err = _path_error(case.graph, s_used, result.plans)
+        err = discretization_error(case.graph, s_used, [p.vertices() for p in result.plans])
         return ResultRow(
             case.name, case.k, n_agents, scenario, mode, True, result.makespan, rt,
             result.stats.nodes_expanded, result.stats.low_level_calls, s_used, err,
@@ -169,13 +168,8 @@ def _run_row(case: MapCase, scenario: int, n_agents: int, mode: str, s_used: flo
     )
 
 
-def _path_error(g: RealGraph, s: float, plans) -> float:
-    return discretization_error(g, s, [p.vertices() for p in plans])
-
-
-def _worker(payload):
-    idx, case, scenario, n_agents, mode, s_used, solver = payload
-    return idx, _run_row(case, scenario, n_agents, mode, s_used, solver)
+def _worker(payload) -> ResultRow:
+    return _run_row(*payload)
 
 
 def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
@@ -203,6 +197,18 @@ def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
     return TuningRecord(case.name, case.k, s, wall, len(result.observations), fallback)
 
 
+def _case_tasks(case: MapCase, spec: ExperimentSpec, tuned_s: float | None, solver: SolveConfig):
+    """Row payloads of one case: one integer graph per scale, one real instance per (scenario, agent count)."""
+    scales = {"fixed": spec.fixed_s, "baseline": 1.0, "tuned": tuned_s}
+    graphs = {s: discretize(case.graph, s) for s in {scales[m] for m in spec.modes}}
+    for n_agents in spec.agent_counts:
+        for scenario in range(len(case.scenarios)):
+            real = _case_instance(case, scenario, n_agents)
+            for mode in spec.modes:
+                s = scales[mode]
+                yield case, replace(real, graph=graphs[s]), scenario, n_agents, mode, s, solver
+
+
 def run_suite(spec: ExperimentSpec) -> SuiteResult:
     """Run every (case, agent count, scenario, mode) cell and collect rows in order."""
     tuning: list[TuningRecord] = []
@@ -213,28 +219,11 @@ def run_suite(spec: ExperimentSpec) -> SuiteResult:
             tuning.append(rec)
             tuned_s[(case.name, case.k)] = rec.s
     solver = replace(spec.solver, timeout=spec.timeout)
-    tasks = []
-    for case in spec.cases:
-        for n_agents in spec.agent_counts:
-            for scenario in range(len(case.scenarios)):
-                for mode in spec.modes:
-                    if mode == "fixed":
-                        s_used = spec.fixed_s
-                    elif mode == "baseline":
-                        s_used = 1.0
-                    else:
-                        s_used = tuned_s[(case.name, case.k)]
-                    tasks.append((len(tasks), case, scenario, n_agents, mode, s_used, solver))
-    rows: list[ResultRow | None] = [None] * len(tasks)
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            for idx, row in pool.map(_worker, tasks):
-                rows[idx] = row
-    else:
-        for payload in tasks:
-            idx, row = _worker(payload)
-            rows[idx] = row
-    assert all(r is not None for r in rows)
+    rows: list[ResultRow] = []
+    with ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for case in spec.cases:
+            rows.extend(run(_worker, _case_tasks(case, spec, tuned_s.get((case.name, case.k)), solver)))
     return SuiteResult(tuple(rows), tuple(tuning))
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import math
 import time as _time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -223,22 +222,6 @@ def classify_conflict(parent_cost: float, branch_costs: Sequence[float]) -> str:
     return "semi" if raised > 0 else "non"
 
 
-def _vertex_at(plan: TimedPlan, t: int) -> int | None:
-    """Vertex the plan occupies at time t, or None while mid-traversal."""
-    steps = plan.steps
-    if t >= steps[-1][1]:
-        return steps[-1][0]
-    times = [st for _, st in steps]
-    idx = bisect_right(times, t) - 1
-    if idx < 0:
-        return None
-    v0, t0 = steps[idx]
-    if t == t0:
-        return v0
-    v1 = steps[idx + 1][0]
-    return v0 if v0 == v1 else None
-
-
 class _Timeout(Exception):
     pass
 
@@ -281,7 +264,11 @@ class _Ctx:
 
 
 def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan]) -> list[int]:
-    """Agents whose current plan may violate the freshly added constraints."""
+    """Agents whose current plan may violate the freshly added constraints.
+
+    Plans spell out every wait step, so an agent is at v at time t exactly when
+    (v, t) is a step, or t is past its cost and v is its last vertex.
+    """
     agents: set[int] = set()
     for a, _, _ in conflict_bundle.neg_vertex:
         agents.add(a)
@@ -290,7 +277,7 @@ def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan]) -
     for i, v, t in conflict_bundle.pos_vertex:
         agents.add(i)
         for j, plan in enumerate(plans):
-            if j != i and _vertex_at(plan, t) == v:
+            if j != i and ((v, t) in plan.steps or (t > plan.cost and plan.steps[-1][0] == v)):
                 agents.add(j)
     return sorted(agents)
 

@@ -280,16 +280,18 @@ def _coerce(parser, action, key, val, path, lineno):
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, by_name = _build_parser()
-    if argv and argv[0] in by_name and "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config needs a file path")
-        try:
-            _apply_config(parser, by_name[argv[0]], cfg_path)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if argv and argv[0] in by_name:
+        # a one-option parser accepts every spelling the subcommand does:
+        # --config PATH, --config=PATH and abbreviations such as --conf
+        pre = argparse.ArgumentParser(prog=by_name[argv[0]].prog, add_help=False)
+        pre.add_argument("--config")
+        cfg_path = pre.parse_known_args(argv[1:])[0].config
+        if cfg_path is not None:
+            try:
+                _apply_config(parser, by_name[argv[0]], cfg_path)
+            except ParseError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -282,7 +282,11 @@ def _float_tok(tok: str, what: str, lineno: int) -> float:
 
 
 def serialize_roadmap(g: RealGraph | IntGraph) -> str:
-    """Render a graph to roadmap text; parse_roadmap(serialize_roadmap(g)) == g."""
+    """Render a graph to roadmap text.
+
+    parse_roadmap(serialize_roadmap(g)) has g's vertices, positions, edges and
+    weights (as floats: parse_roadmap always returns a RealGraph).
+    """
     out = [f"v {g.n}"]
     for v in g.vertices:
         out.append(f"{v.id} {v.pos[0]!r} {v.pos[1]!r}")

@@ -152,7 +152,7 @@ def nsga2_evolve(
         cf = _eval_objs(objective, cx)
         pool_x = np.concatenate([x, cx])
         pool_f = np.concatenate([f, cf])
-        rank, crowd, fronts = _rank_and_crowd(pool_f)
+        fronts = fast_nondominated_sort(pool_f)
         chosen: list[int] = []
         for front in fronts:
             if len(chosen) + len(front) <= n:

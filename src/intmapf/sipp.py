@@ -14,15 +14,19 @@ Constraints restrict a single agent:
     every other agent this acts as a negative vertex constraint, which is how
     disjoint splitting shares one constraint between both branch children.
 
-Search states are (vertex, safe-interval index, waypoints consumed); within
-one safe interval an earlier arrival dominates, which keeps the state space
-finite even with no horizon.
+Search states are (vertex, safe-interval index, waypoint index).  The
+waypoint index is the number of the agent's own positive constraints due by
+the state's arrival time; every move that reaches a state has already been
+checked against them, so the index is a count, not a second check.  Within
+one safe interval and waypoint index an earlier arrival dominates, which
+keeps the state space finite even with no horizon.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -176,8 +180,6 @@ def build_safe_intervals(constraints: ConstraintSet, agent: int) -> SafeTable:
         spans: list[SafeInterval] = []
         cur = 0
         for t in sorted(times):
-            if t < 0:
-                continue
             if t > cur:
                 spans.append(SafeInterval(cur, t))
             cur = max(cur, t + 1)
@@ -185,7 +187,7 @@ def build_safe_intervals(constraints: ConstraintSet, agent: int) -> SafeTable:
         vertex_intervals[v] = tuple(spans)
     edge_forbidden: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a, (u, v), (t1, t2) in constraints.neg_edge:
-        if a == agent and t1 < t2:
+        if a == agent:
             edge_forbidden.setdefault((u, v), []).append((t1, t2))
     return SafeTable(
         vertex_intervals,
@@ -206,35 +208,28 @@ def sipp_plan(
 ) -> TimedPlan | None:
     """Earliest-arrival plan from start to goal under the agent's constraints.
 
-    A* over (vertex, safe-interval, waypoints-consumed) states with an exact
+    A* over (vertex, safe-interval, waypoint-index) states with an exact
     unconstrained distance-to-goal heuristic.  Ties pop by smaller f, then
     larger g, then smaller vertex id, then insertion order.  The plan may end
-    only in an unbounded safe interval of the goal with every unconsumed
-    waypoint sitting at the goal, because the agent stays there forever.
+    only in an unbounded safe interval of the goal with every waypoint not
+    yet due sitting at the goal, because the agent stays there forever.
     Returns None when no plan exists (within the horizon, if one is given).
     """
     table = build_safe_intervals(constraints, agent)
     wps = table.waypoints
+    due = [wt for wt, _ in wps]
     dist = dist_to_goal if dist_to_goal is not None else dijkstra(graph, goal)
     if dist[start] == math.inf:
         return None
-
-    def consume(wp: int, t: int, at_vertex: int) -> int | None:
-        # advance past waypoints due by time t; each must sit where the agent is
-        while wp < len(wps) and wps[wp][0] <= t:
-            if wps[wp][1] != at_vertex:
-                return None
-            wp += 1
-        return wp
-
     ivl0 = table.interval_index(start, 0)
     if ivl0 is None:
         return None
-    wp0 = consume(0, 0, start)
-    if wp0 is None:
-        return None
+    wp0 = bisect_right(due, 0)
+    for _, wv in wps[:wp0]:
+        if wv != start:
+            return None
 
-    State = tuple[int, int, int]  # (vertex, interval index, waypoints consumed)
+    State = tuple[int, int, int]  # (vertex, interval index, waypoints due by arrival)
     start_key: State = (start, ivl0, wp0)
     best: dict[State, int] = {start_key: 0}
     parent: dict[State, tuple[State, int, int]] = {}  # child -> (parent, depart, arrive)
@@ -243,8 +238,13 @@ def sipp_plan(
     counter = 0
     heap: list[tuple[float, int, int, int, State]] = [(dist[start], 0, start, counter, start_key)]
 
-    def goal_ready(v: int, hi: float, wp: int) -> bool:
-        return v == goal and hi == math.inf and all(wv == goal for _, wv in wps[wp:])
+    def push(nkey: State, d: int, t: int) -> None:
+        nonlocal counter
+        if t < best.get(nkey, math.inf):
+            best[nkey] = t
+            parent[nkey] = (key, d, t)
+            counter += 1
+            heapq.heappush(heap, (t + dist[nkey[0]], -t, nkey[0], counter, nkey))
 
     while heap:
         _, neg_g, _, _, key = heapq.heappop(heap)
@@ -252,37 +252,28 @@ def sipp_plan(
         a = -neg_g
         if a > best.get(key, math.inf):
             continue
-        lo, hi = table.vertex_intervals(v)[ivl]
-        if goal_ready(v, hi, wp):
-            return _reconstruct(parent, key, start_key)
-        # latest time the agent may still sit at v: the first unconsumed
-        # waypoint elsewhere caps every departure
-        cap = math.inf
+        hi = table.vertex_intervals(v)[ivl].hi
+        # the agent must leave v before its interval ends and before the
+        # first waypoint due elsewhere
+        leave_by = hi
         for wt, wv in wps[wp:]:
             if wv != v:
-                cap = wt
+                leave_by = min(hi, wt)
                 break
+        if v == goal and leave_by == math.inf:
+            return _reconstruct(parent, key, start_key)
         # waiting in place to meet the next waypoint is its own transition;
         # the departure scan below only ever takes the earliest departure
         if wp < len(wps):
-            wt, wv = wps[wp]
-            if wv == v and a < wt < hi and (horizon is None or wt + dist[v] <= horizon):
-                cwp = consume(wp, wt, v)
-                if cwp is not None:
-                    ckey: State = (v, ivl, cwp)
-                    if wt < best.get(ckey, math.inf):
-                        best[ckey] = wt
-                        parent[ckey] = (key, wt, wt)
-                        counter += 1
-                        heapq.heappush(heap, (wt + dist[v], -wt, v, counter, ckey))
+            wt = wps[wp][0]
+            if wt < leave_by and (horizon is None or wt + dist[v] <= horizon):
+                push((v, ivl, bisect_right(due, wt)), wt, wt)
         for u, w in graph.adjacency[v]:
             if dist[u] == math.inf:
                 continue
             for jdx, (jlo, jhi) in enumerate(table.vertex_intervals(u)):
                 d = max(a, jlo - w)
-                while True:
-                    if d >= hi or d >= cap:
-                        break
+                while d < leave_by:
                     t = d + w
                     if t >= jhi:
                         break
@@ -292,6 +283,8 @@ def sipp_plan(
                     if retry is not None:
                         d = max(retry, d + 1)
                         continue
+                    # no waypoint may fall inside the traversal, and one due
+                    # on arrival must sit at u
                     viol = None
                     for wt, wv in wps[wp:]:
                         if wt > t:
@@ -302,16 +295,7 @@ def sipp_plan(
                     if viol is not None:
                         d = viol if d < viol < t else d + 1
                         continue
-                    # waypoints due while waiting are met at v, one at t is met at u
-                    mid = consume(wp, d, v)
-                    nwp = consume(mid, t, u) if mid is not None else None
-                    if nwp is not None:
-                        nkey: State = (u, jdx, nwp)
-                        if t < best.get(nkey, math.inf):
-                            best[nkey] = t
-                            parent[nkey] = (key, d, t)
-                            counter += 1
-                            heapq.heappush(heap, (t + dist[u], -t, u, counter, nkey))
+                    push((u, jdx, bisect_right(due, t)), d, t)
                     break  # earliest departure into this interval found
     return None
 

@@ -6,6 +6,7 @@ is pinned against numpy's percentile on hand-built row sets.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ def test_mini_suite_repeats_identically_except_runtime():
         r.makespan, r.ct_nodes, r.ll_calls, r.s_used, r.error,
     )
     assert [strip(r) for r in a] == [strip(r) for r in b]
+
+
+def test_worker_pool_gives_the_serial_rows_in_order():
+    cases = (_mini_case(), replace(_mini_case(), name="empty-4-4-copy"))
+    spec = ExperimentSpec(cases=cases, agent_counts=(1, 2), modes=("fixed", "baseline"), fixed_s=0.5)
+    strip = lambda r: (
+        r.map, r.k, r.n_agents, r.scenario, r.mode, r.success,
+        r.makespan, r.ct_nodes, r.ll_calls, r.s_used, r.error,
+    )
+    serial = [strip(r) for r in run_suite(spec).rows]
+    assert [strip(r) for r in run_suite(replace(spec, workers=2)).rows] == serial
+    assert len(serial) == 2 * 2 * 2 * 2
 
 
 def test_unsolvable_case_times_out_near_budget():

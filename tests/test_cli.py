@@ -125,11 +125,17 @@ def test_solve_with_tuning(capsys):
 # ---------------------------------------------------------------- config file
 
 
+def _config_spellings(cfg):
+    """Every way argparse accepts the option: apart, joined by '=', abbreviated."""
+    return (["--config", cfg], [f"--config={cfg}"], ["--conf", cfg])
+
+
 def test_config_file_sets_defaults(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", "s = 0.5\nagents = 1\n# comment line\n\n")
-    rc = main(["solve", "--map", MAP, "--scen", SCEN, "--config", cfg])
-    assert rc == 0
-    assert "s_used=0.5" in capsys.readouterr().out
+    for flag in _config_spellings(cfg):
+        rc = main(["solve", "--map", MAP, "--scen", SCEN, *flag])
+        assert rc == 0, flag
+        assert "s_used=0.5" in capsys.readouterr().out, flag
 
 
 def test_explicit_flag_beats_config(tmp_path, capsys):
@@ -147,10 +153,11 @@ def test_config_boolean_and_choice_coercion(tmp_path, capsys):
 
 def test_config_unknown_key_exits_two(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", "warp = 9\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1", "--config", cfg])
-    assert exc.value.code == 2
-    assert "unknown key 'warp'" in capsys.readouterr().err
+    for flag in _config_spellings(cfg):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1", *flag])
+        assert exc.value.code == 2, flag
+        assert "unknown key 'warp'" in capsys.readouterr().err, flag
 
 
 def test_config_bad_value_exits_two(tmp_path, capsys):

@@ -1,0 +1,106 @@
+"""Property tests against the brute-force oracles: SIPP under every constraint kind, CBS optimality.
+
+Examples are derived deterministically (derandomize=True), so a run is
+reproducible; graphs stay small enough for the oracles' exhaustive searches.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intmapf import ConstraintSet, IntGraph, Instance, Solution, SolveConfig, Vertex, sipp_plan, solve
+from intmapf.cbs import validate_solution
+
+import oracles
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+CBS_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+# CBS cannot prove some small instances infeasible quickly; such a solve times
+# out, which is an honest Failure and checks nothing else
+TIMEOUT = 5.0
+
+
+@st.composite
+def int_graphs(draw, min_n=2, max_n=6, max_w=3, max_extra=4):
+    """A random spanning tree plus a few more edges: sparse, so paths share corridors."""
+    n = draw(st.integers(min_n, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_extra)))
+    weighted = [(u, v, draw(st.integers(1, max_w))) for u, v in sorted(edges)]
+    return IntGraph([Vertex(i, (float(i), 0.0)) for i in range(n)], weighted)
+
+
+@st.composite
+def sipp_cases(draw):
+    """A graph, start and goal, and constraints on agent 0 of all four kinds."""
+    g = draw(int_graphs())
+    start, goal = draw(st.permutations(range(g.n)))[:2]
+    vertex = st.integers(0, g.n - 1)
+    time = st.integers(0, 10)
+    own_wps = draw(st.lists(st.tuples(st.just(0), vertex, time), max_size=3))
+    others = draw(st.lists(st.tuples(st.integers(1, 2), vertex, time), max_size=3))
+    bans = draw(st.lists(st.tuples(st.just(0), vertex, time), max_size=6))
+    directed = [(u, v) for u, v, _ in g.edges] + [(v, u) for u, v, _ in g.edges]
+    edge_bans = []
+    if directed:
+        spans = st.tuples(st.integers(0, 9), st.integers(1, 4)).map(lambda p: (p[0], p[0] + p[1]))
+        edge_bans = draw(st.lists(st.tuples(st.just(0), st.sampled_from(directed), spans), max_size=3))
+    pos = frozenset(own_wps) | frozenset(others)
+    cs = ConstraintSet(frozenset(bans) - pos, frozenset(edge_bans), pos)
+    return g, start, goal, cs
+
+
+@PROPERTY
+@given(sipp_cases())
+def test_sipp_matches_time_expanded_optimum(case):
+    g, start, goal, cs = case
+    horizon = 20
+    want = oracles.time_expanded_optimum(g, start, goal, cs, 0, horizon)
+    plan = sipp_plan(g, start, goal, cs, 0, horizon=horizon)
+    if want is None:
+        assert plan is None
+        return
+    assert plan is not None and plan.cost == want
+    assert plan.steps[0] == (start, 0) and plan.steps[-1][0] == goal
+    assert oracles.replay_violations(g, plan, cs, 0) == []
+
+
+@st.composite
+def cbs_instances(draw, max_n=6, max_w=2):
+    """Two or three agents on a sparse graph; rotated goals make every pair of paths cross."""
+    g = draw(int_graphs(min_n=3, max_n=max_n, max_w=max_w, max_extra=2))
+    agents = draw(st.integers(2, min(3, g.n - 1)))
+    starts = tuple(draw(st.permutations(range(g.n)))[:agents])
+    if draw(st.booleans()):
+        goals = starts[1:] + starts[:1]
+    else:
+        goals = tuple(draw(st.permutations(range(g.n)))[:agents])
+    return Instance(g, starts, goals)
+
+
+@CBS_PROPERTY
+@given(cbs_instances(), st.booleans())
+def test_cbs_with_explicit_horizon_matches_joint_optimum(inst, disjoint):
+    horizon = 6
+    want = oracles.joint_optimal_makespan(inst.graph, inst.starts, inst.goals, horizon)
+    out = solve(inst, SolveConfig(disjoint=disjoint, horizon=horizon, timeout=TIMEOUT))
+    if isinstance(out, Solution):
+        assert out.makespan == want
+        assert validate_solution(inst, out.plans) == []
+    elif out.reason != "timeout":  # a timeout says only that the budget ran out
+        assert out.reason == "exhausted" and want is None
+
+
+@CBS_PROPERTY
+@given(cbs_instances(max_n=5, max_w=1), st.booleans())
+def test_cbs_with_automatic_horizon_is_optimal_or_says_horizon(inst, disjoint):
+    out = solve(inst, SolveConfig(disjoint=disjoint, timeout=TIMEOUT))
+    if isinstance(out, Solution):
+        # nothing shorter exists, and the makespan is reachable
+        assert oracles.joint_optimal_makespan(inst.graph, inst.starts, inst.goals, out.makespan) == out.makespan
+        assert validate_solution(inst, out.plans) == []
+    elif out.reason != "timeout":
+        assert out.reason in ("exhausted", "horizon")
+        if oracles.joint_optimal_makespan(inst.graph, inst.starts, inst.goals, 16) is not None:
+            assert out.reason == "horizon"
