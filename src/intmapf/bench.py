@@ -81,6 +81,9 @@ class ExperimentSpec:
                 raise ValueError(f"unknown mode {m!r}; choose from {MODES}")
         if not self.cases or not self.agent_counts or not self.modes:
             raise ValueError("suite needs at least one case, agent count, and mode")
+        for case in self.cases:
+            if not case.scenarios:
+                raise ValueError(f"case {case.name!r} needs at least one scenario")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ its expansion will add.
 Occupancy follows the plan steps: a step pair (u, t_a) -> (v, t_b) occupies u
 at t_a, the edge during the open span (t_a, t_b), and v at t_b; after its last
 step an agent sits on its goal forever.  Two opposite traversals of one edge
-conflict exactly when their spans share an integer time point.
+conflict exactly when their [t_a, t_b) spans overlap, so a swap over a unit
+edge conflicts at its departure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from __future__ import annotations
 import heapq
 import math
 import time as _time
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .graph import IntGraph, dijkstra
@@ -128,60 +131,50 @@ class Violation:
     detail: str
 
 
-def _timeline(plan: TimedPlan, t_max: int) -> tuple[list[int | None], list[Traversal | None]]:
-    """Per-step occupancy: vertex occupied at t, and traversal active at t, if any."""
-    vloc: list[int | None] = [None] * (t_max + 1)
-    act: list[Traversal | None] = [None] * (t_max + 1)
-    steps = plan.steps
-    for (u, ta), (v, tb) in zip(steps, steps[1:]):
-        if u == v:
-            for t in range(ta, tb + 1):
-                vloc[t] = u
-        else:
-            vloc[ta] = u
-            vloc[tb] = v
-            trav = (u, v, ta, tb)
-            for t in range(ta, tb):
-                act[t] = trav
-    last_v, last_t = steps[-1]
-    for t in range(last_t, t_max + 1):
-        vloc[t] = last_v
-    return vloc, act
-
-
-def detect_conflicts(plans: Sequence[TimedPlan], t_max: int | None = None) -> list[Conflict]:
+def detect_conflicts(plans: Sequence[TimedPlan]) -> list[Conflict]:
     """Earliest conflict for every agent pair, sorted by (time, agents).
 
-    Vertex conflicts take precedence over edge conflicts at the same step.
-    Agents sit on their goals after finishing, so late arrivals collide with
-    parked agents.
+    An agent occupies (v, t) at each plan step, through each wait, and on its
+    last vertex from its cost until the longest plan ends; past that every
+    agent is parked, so no vertex is shared that was not shared before.  Two
+    opposite traversals of one edge conflict at the later departure when
+    their [depart, arrive) spans overlap.  A vertex conflict wins over an
+    edge conflict at the same step.
     """
     if not plans:
         raise ValueError("detect_conflicts needs at least one plan")
     horizon = max(p.cost for p in plans)
-    if t_max is None:
-        t_max = horizon
-    if t_max < horizon:
-        raise ValueError(f"t_max {t_max} is below the longest plan cost {horizon}")
-    lines = [_timeline(p, t_max) for p in plans]
-    found: list[Conflict] = []
-    n = len(plans)
-    for i in range(n):
-        vloc_i, act_i = lines[i]
-        for j in range(i + 1, n):
-            vloc_j, act_j = lines[j]
-            for t in range(t_max + 1):
-                vi, vj = vloc_i[t], vloc_j[t]
-                if vi is not None and vi == vj:
-                    found.append(Conflict("vertex", (i, j), t, vertex=vi))
-                    break
-                ai, aj = act_i[t], act_j[t]
-                if ai is not None and aj is not None and ai[0] == aj[1] and ai[1] == aj[0]:
-                    # opposite directions active at one step always overlap
-                    found.append(Conflict("edge", (i, j), t, trav_i=ai, trav_j=aj))
-                    break
+    occupied = []
+    crossings: defaultdict[tuple[int, int], list[tuple[int, Traversal]]] = defaultdict(list)
+    for a, plan in enumerate(plans):
+        steps = plan.steps
+        occ = set(steps)
+        for (u, ta), (v, tb) in zip(steps, steps[1:]):
+            if u != v:
+                crossings[min(u, v), max(u, v)].append((a, (u, v, ta, tb)))
+            elif tb - ta > 1:
+                occ.update((u, t) for t in range(ta + 1, tb))
+        last_v, last_t = steps[-1]
+        occ.update((last_v, t) for t in range(last_t + 1, horizon + 1))
+        occupied.append(occ)
+    found = []
+    for i, j in combinations(range(len(plans)), 2):
+        shared = occupied[i] & occupied[j]
+        if shared:
+            v, t = min(shared, key=lambda vt: vt[1])
+            found.append(Conflict("vertex", (i, j), t, vertex=v))
+    for group in crossings.values():
+        for (i, ti), (j, tj) in combinations(group, 2):
+            t = max(ti[2], tj[2])
+            if i != j and ti[0] == tj[1] and t < min(ti[3], tj[3]):
+                found.append(Conflict("edge", (i, j), t, trav_i=ti, trav_j=tj))
+    # the sort is stable, so a pair's vertex conflict stays ahead of its edge
+    # conflict at the same step; each pair keeps its first entry
     found.sort(key=lambda c: (c.time, c.agents))
-    return found
+    first: dict[tuple[int, int], Conflict] = {}
+    for c in found:
+        first.setdefault(c.agents, c)
+    return list(first.values())
 
 
 def make_branch_constraints(conflict: Conflict, disjoint: bool) -> tuple[ConstraintSet, ConstraintSet]:
@@ -311,7 +304,7 @@ def _make_node(ctx: _Ctx, constraints: ConstraintSet, plans: tuple[TimedPlan, ..
     """Node for these plans, holding the branches of the conflict it will split."""
     cost = max(p.cost for p in plans)
     soc = sum(p.cost for p in plans)
-    conflicts = detect_conflicts(plans, cost)
+    conflicts = detect_conflicts(plans)
     if not conflicts:
         return CTNode(plans, cost, soc, None)
     options = (_branches(ctx, constraints, plans, c) for c in conflicts[: ctx.config.lazy_pc])

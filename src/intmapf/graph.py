@@ -319,28 +319,13 @@ def shortest_path(graph: _BaseGraph, source: int, target: int) -> list[int] | No
     """
     if not (0 <= target < graph.n):
         raise ValueError(f"target {target} out of range for {graph.n} vertices")
-    dist = [math.inf] * graph.n
-    parent: list[int | None] = [None] * graph.n
-    dist[source] = 0
-    heap: list[tuple[float, int]] = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == target:
-            break
-        for v, w in graph.adjacency[u]:
-            nd = d + w
-            if nd < dist[v] or (nd == dist[v] and parent[v] is not None and u < parent[v]):
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
+    dist = dijkstra(graph, source)
     if dist[target] == math.inf:
         return None
     path = [target]
     while path[-1] != source:
-        prev = parent[path[-1]]
-        assert prev is not None
-        path.append(prev)
+        v = path[-1]
+        # the adjacency is sorted by id, so this is the smallest predecessor
+        path.append(next(u for u, w in graph.adjacency[v] if dist[u] + w == dist[v]))
     path.reverse()
     return path

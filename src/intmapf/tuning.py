@@ -255,6 +255,8 @@ class TuneConfig:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.eval_timeout is not None and not self.eval_timeout > 0:
+            raise ValueError(f"eval_timeout must be None or > 0, got {self.eval_timeout}")
 
 
 @dataclass(frozen=True)

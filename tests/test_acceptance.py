@@ -210,14 +210,13 @@ def test_criterion_3_conflict_detection():
     def check(pa, pb):
         nonlocal pairs
         pairs += 1
-        t_max = max(pa.cost, pb.cost)
         got = []
-        for c in detect_conflicts([pa, pb], t_max):
+        for c in detect_conflicts([pa, pb]):
             if c.kind == "vertex":
                 got.append(("vertex", c.agents, c.time, c.vertex))
             else:
                 got.append(("edge", c.agents, c.time, c.trav_i, c.trav_j))
-        want = first_conflicts([pa, pb], t_max)
+        want = first_conflicts([pa, pb], max(pa.cost, pb.cost))
         if got != want:
             bad.append((pairs, got, want))
 

@@ -175,6 +175,8 @@ def test_spec_validation():
         ExperimentSpec(cases=(case,), agent_counts=(1,), modes=("adaptive",))
     with pytest.raises(ValueError, match="at least one"):
         ExperimentSpec(cases=(), agent_counts=(1,), modes=("baseline",))
+    with pytest.raises(ValueError, match="at least one scenario"):
+        ExperimentSpec(cases=(replace(case, scenarios=()),), agent_counts=(1,), modes=("baseline",))
 
 
 # ---------------------------------------------------------------- aggregate

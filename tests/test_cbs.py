@@ -127,10 +127,7 @@ def test_same_direction_overlap_is_not_a_conflict():
     assert detect_conflicts([a, b]) == []
 
 
-def test_t_max_below_longest_plan_raises():
-    a = _plan((0, 0), (1, 3))
-    with pytest.raises(ValueError, match="below the longest plan cost"):
-        detect_conflicts([a, a], t_max=2)
+def test_detection_needs_a_plan():
     with pytest.raises(ValueError, match="at least one plan"):
         detect_conflicts([])
 
@@ -156,13 +153,39 @@ def test_detection_matches_occupancy_oracle():
                     steps.append((u, t))
                     v = u
             plans.append(TimedPlan(tuple(steps)))
-        t_max = max(p.cost for p in plans)
-        got = [_as_tuple(c) for c in detect_conflicts(plans, t_max)]
-        want = first_conflicts(plans, t_max)
+        got = [_as_tuple(c) for c in detect_conflicts(plans)]
+        want = first_conflicts(plans, max(p.cost for p in plans))
         assert got == want
         checked += 1
         conflicted += bool(want)
     assert checked == 160 and conflicted >= 40
+    # plans that wait several steps at once and cross edges up to two steps
+    # slower than the weight: validate_solution accepts them, the solver
+    # never makes them
+    rng = random.Random(24)
+    conflicted = 0
+    for _ in range(300):
+        g = _random_int_graph(rng, rng.randint(3, 7), max_w=3, p=0.6)
+        plans = []
+        for _ in range(rng.randint(2, 5)):
+            v = rng.randrange(g.n)
+            t = 0
+            steps = [(v, t)]
+            for _ in range(rng.randint(0, 5)):
+                if rng.random() < 0.3 or not g.adjacency[v]:
+                    t += rng.randint(1, 3)
+                    steps.append((v, t))
+                else:
+                    u, w = rng.choice(g.adjacency[v])
+                    t += int(w) + rng.randint(0, 2)
+                    steps.append((u, t))
+                    v = u
+            plans.append(TimedPlan(tuple(steps)))
+        got = [_as_tuple(c) for c in detect_conflicts(plans)]
+        want = first_conflicts(plans, max(p.cost for p in plans))
+        assert got == want
+        conflicted += bool(want)
+    assert conflicted >= 200
 
 
 # ---------------------------------------------------------------- branching

@@ -344,7 +344,16 @@ def test_shortest_path_is_a_valid_optimal_path():
         assert total == pytest.approx(dist[tgt])
 
 
+def test_shortest_path_ties_break_toward_smaller_predecessor():
+    # both ways round the unit 4-cycle cost 2; 1 < 2, so the path runs through 1
+    g = IntGraph([Vertex(i, (float(i), 0.0)) for i in range(4)], [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
+    assert shortest_path(g, 0, 3) == [0, 1, 3]
+    assert shortest_path(g, 3, 0) == [3, 1, 0]
+
+
 def test_dijkstra_source_out_of_range():
     g = _random_graph(np.random.default_rng(0), 4)
     with pytest.raises(ValueError):
         dijkstra(g, 9)
+    with pytest.raises(ValueError):
+        shortest_path(g, -1, 0)

@@ -362,6 +362,8 @@ def test_tune_config_validation():
         TuneConfig(s_min=0.1, s_max=1.0, generations=0)
     with pytest.raises(ValueError, match="delta"):
         TuneConfig(s_min=0.1, s_max=1.0, delta=1.5)
+    with pytest.raises(ValueError, match="eval_timeout"):
+        TuneConfig(s_min=0.1, s_max=1.0, eval_timeout=-1.0)
 
 
 # ---------------------------------------------------------------- on a graph
