@@ -9,14 +9,14 @@ inherits it as a negative) and the matching negative.  An edge conflict always
 splits into two negative edge-interval constraints, each handing one agent the
 other's traversal window.
 
-A node picks its conflict when it is created: the first lazy_pc conflicts are
-classified by how the two candidate children's costs move (both strictly above
-the node's cost is cardinal, one is semi-cardinal, none is non-cardinal), and
-the highest class wins, the earliest conflict on ties.  With lazy_pc=1 the
-earliest conflict is the only candidate, so nothing is prioritized.
-Classifying replans both branches, so the node keeps only the picked
-conflict's branches, each with its full constraint set: they are the children
-its expansion will add.
+A node picks its conflict when it is expanded, so nodes that never leave the
+open list cost only their conflict detection.  The first lazy_pc of its
+conflicts are classified by how the two candidate children's costs move (both
+strictly above the node's cost is cardinal, one is semi-cardinal, none is
+non-cardinal), and the highest class wins, the earliest conflict on ties.
+With lazy_pc=1 the earliest conflict is the only candidate, so nothing is
+prioritized.  Classifying replans both branches, so the picked conflict's
+branches, each with its full constraint set, become the node's children.
 
 Occupancy follows the plan steps: a step pair (u, t_a) -> (v, t_b) occupies u
 at t_a, the edge during the open span (t_a, t_b), and v at t_b; after its last
@@ -82,10 +82,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class CTNode:
+    constraints: ConstraintSet
     plans: tuple[TimedPlan, ...]
     cost: int
     soc: int
-    branches: tuple[Branch, ...] | None  # the picked conflict's children; None when conflict-free
+    conflicts: list[Conflict]  # detect_conflicts order; empty when the plans are a solution
 
 
 @dataclass
@@ -93,6 +94,10 @@ class SearchStats:
     nodes_generated: int = 0
     nodes_expanded: int = 0
     low_level_calls: int = 0
+    # conflicts split by expanded nodes, by the class that picked them
+    picked_cardinal: int = 0
+    picked_semi: int = 0
+    picked_non: int = 0
     wall_time: float = 0.0
 
 
@@ -116,8 +121,8 @@ class Failure:
 @dataclass(frozen=True)
 class SolveConfig:
     disjoint: bool = False
-    # classify at most this many conflicts per node (None: all); 1 expands the
-    # earliest conflict, which turns prioritization off
+    # an expanded node classifies at most this many of its conflicts (None:
+    # all); 1 splits the earliest conflict, which turns prioritization off
     lazy_pc: int | None = 8
     timeout: float | None = None  # seconds
     horizon: int | None = None
@@ -300,17 +305,33 @@ def _branches(ctx: _Ctx, constraints: ConstraintSet, plans: Sequence[TimedPlan],
 _PC_RANK = {"cardinal": 2, "semi": 1, "non": 0}
 
 
-def _make_node(ctx: _Ctx, constraints: ConstraintSet, plans: tuple[TimedPlan, ...]) -> CTNode:
-    """Node for these plans, holding the branches of the conflict it will split."""
+def _make_node(constraints: ConstraintSet, plans: tuple[TimedPlan, ...]) -> CTNode:
+    """Node for these plans, holding their conflicts for its expansion to split."""
     cost = max(p.cost for p in plans)
     soc = sum(p.cost for p in plans)
-    conflicts = detect_conflicts(plans)
-    if not conflicts:
-        return CTNode(plans, cost, soc, None)
-    options = (_branches(ctx, constraints, plans, c) for c in conflicts[: ctx.config.lazy_pc])
-    # max returns the first maximum, so ties keep the earliest conflict
-    branches = max(options, key=lambda bs: _PC_RANK[classify_conflict(cost, [b.cost for b in bs])])
-    return CTNode(plans, cost, soc, branches)
+    return CTNode(constraints, plans, cost, soc, detect_conflicts(plans))
+
+
+def _split(ctx: _Ctx, node: CTNode) -> tuple[Branch, ...]:
+    """Branches of the conflict an expanded node splits.
+
+    The node's first lazy_pc conflicts are classified; the highest class wins
+    and the earliest conflict wins ties.
+    """
+    picked_class, picked = "", ()
+    for conflict in node.conflicts[: ctx.config.lazy_pc]:
+        branches = _branches(ctx, node.constraints, node.plans, conflict)
+        cls = classify_conflict(node.cost, [b.cost for b in branches])
+        if not picked or _PC_RANK[cls] > _PC_RANK[picked_class]:
+            picked_class, picked = cls, branches
+    stats = ctx.stats
+    if picked_class == "cardinal":
+        stats.picked_cardinal += 1
+    elif picked_class == "semi":
+        stats.picked_semi += 1
+    else:
+        stats.picked_non += 1
+    return picked
 
 
 def solve(instance: Instance, config: SolveConfig | None = None):
@@ -345,7 +366,7 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             if p is None:
                 return finish(Failure("exhausted", ctx.stats))
             root_plans.append(p)
-        root = _make_node(ctx, EMPTY_CONSTRAINTS, tuple(root_plans))
+        root = _make_node(EMPTY_CONSTRAINTS, tuple(root_plans))
         ctx.stats.nodes_generated += 1
         # the unique tick settles every tie, so nodes themselves are never compared
         tick = 0
@@ -354,13 +375,13 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             ctx.check_deadline()
             node = heapq.heappop(open_heap)[3]
             ctx.stats.nodes_expanded += 1
-            if node.branches is None:
+            if not node.conflicts:
                 return finish(Solution(node.plans, node.cost, ctx.stats))
-            for branch in node.branches:
+            for branch in _split(ctx, node):
                 if math.isinf(branch.cost):
                     continue
                 child_plans = tuple(branch.plans.get(a, p) for a, p in enumerate(node.plans))
-                child = _make_node(ctx, branch.constraints, child_plans)
+                child = _make_node(branch.constraints, child_plans)
                 assert child.cost >= node.cost, "constraint tree cost must not decrease"
                 ctx.stats.nodes_generated += 1
                 tick += 1

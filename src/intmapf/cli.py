@@ -94,6 +94,9 @@ def _print_stats(stats, s: float) -> None:
     print(f"nodes_generated={stats.nodes_generated}")
     print(f"nodes_expanded={stats.nodes_expanded}")
     print(f"low_level_calls={stats.low_level_calls}")
+    print(f"picked_cardinal={stats.picked_cardinal}")
+    print(f"picked_semi={stats.picked_semi}")
+    print(f"picked_non={stats.picked_non}")
     print(f"wall_time={stats.wall_time!r}")
 
 

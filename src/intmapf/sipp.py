@@ -128,6 +128,7 @@ class SafeTable:
     ):
         self._vertex = vertex_intervals
         self._edge = edge_forbidden
+        self.has_edge_bans = bool(edge_forbidden)
         self.waypoints = waypoints  # (t, v), sorted by t
 
     _FREE = (SafeInterval(0, math.inf),)
@@ -216,6 +217,7 @@ def sipp_plan(
     Returns None when no plan exists (within the horizon, if one is given).
     """
     table = build_safe_intervals(constraints, agent)
+    edge_bans = table.has_edge_bans
     wps = table.waypoints
     due = [wt for wt, _ in wps]
     dist = dist_to_goal if dist_to_goal is not None else dijkstra(graph, goal)
@@ -279,10 +281,11 @@ def sipp_plan(
                         break
                     if horizon is not None and t + dist[u] > horizon:
                         break
-                    retry = table.edge_block_end(v, u, w, d)
-                    if retry is not None:
-                        d = max(retry, d + 1)
-                        continue
+                    if edge_bans:
+                        retry = table.edge_block_end(v, u, w, d)
+                        if retry is not None:
+                            d = max(retry, d + 1)
+                            continue
                     # no waypoint may fall inside the traversal, and one due
                     # on arrival must sit at u
                     viol = None

@@ -29,6 +29,7 @@ from intmapf import (
     solve,
     validate_solution,
 )
+from intmapf import cbs
 from intmapf.cbs import SearchStats, classify_conflict, make_branch_constraints
 from intmapf.graph import RealGraph
 
@@ -339,16 +340,22 @@ _PINNED_CONFIGS = {
 }
 
 
+def _pinned_cases():
+    """(case, instance) for each instance tests/fixtures/cbs_pins.json records."""
+    cases = json.loads((FIXTURES / "cbs_pins.json").read_text())
+    assert len(cases) == 15
+    for case in cases:
+        g = _graph(case["n"], [tuple(e) for e in case["edges"]])
+        yield case, Instance(g, tuple(case["starts"]), tuple(case["goals"]))
+
+
 def test_search_matches_pinned_plans_and_counters():
     # Small conflict-heavy instances with the plans and search counters the
     # solver gave when they were recorded.  A change that means to keep the
     # search as it is must reproduce them exactly; each run gives
     # (nodes_expanded, nodes_generated, low_level_calls, index into plans).
-    cases = json.loads((FIXTURES / "cbs_pins.json").read_text())
-    assert len(cases) == 15
-    for case in cases:
-        g = _graph(case["n"], [tuple(e) for e in case["edges"]])
-        inst = Instance(g, tuple(case["starts"]), tuple(case["goals"]))
+    # Every expanded node but the solution splits one conflict of one class.
+    for case, inst in _pinned_cases():
         plan_sets = [tuple(_plan(*map(tuple, steps)) for steps in ps) for ps in case["plans"]]
         for name, cfg in _PINNED_CONFIGS.items():
             expanded, generated, calls, which = case["runs"][name]
@@ -357,8 +364,33 @@ def test_search_matches_pinned_plans_and_counters():
             assert isinstance(out, Solution), where
             assert out.plans == plan_sets[which], where
             assert out.makespan == max(p.cost for p in out.plans), where
-            stats = (out.stats.nodes_expanded, out.stats.nodes_generated, out.stats.low_level_calls)
-            assert stats == (expanded, generated, calls), where
+            st = out.stats
+            assert (st.nodes_expanded, st.nodes_generated, st.low_level_calls) == (expanded, generated, calls), where
+            assert st.picked_cardinal + st.picked_semi + st.picked_non == expanded - 1, where
+
+
+def test_only_expanded_nodes_are_classified(monkeypatch):
+    # Every expanded node but the solution splits one conflict and classifies
+    # at most lazy_pc of them; nodes left on the open list classify none.
+    calls = 0
+    original = cbs.classify_conflict
+
+    def counted(parent_cost, branch_costs):
+        nonlocal calls
+        calls += 1
+        return original(parent_cost, branch_costs)
+
+    monkeypatch.setattr(cbs, "classify_conflict", counted)
+    for case, inst in _pinned_cases():
+        for name in ("lazy_pc=1", "default"):
+            calls = 0
+            out = solve(inst, _PINNED_CONFIGS[name])
+            assert isinstance(out, Solution)
+            splits = out.stats.nodes_expanded - 1
+            if name == "lazy_pc=1":
+                assert calls == splits, (case["starts"], name)
+            else:
+                assert calls <= 8 * splits, (case["starts"], name)
 
 
 def test_solve_is_deterministic():

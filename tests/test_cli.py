@@ -50,6 +50,9 @@ def test_solve_grid_success(capsys):
     assert "makespan=" in out
     assert "s_used=1.0" in out
     assert "nodes_expanded=" in out and "low_level_calls=" in out
+    names = [line.split("=")[0] for line in out.splitlines() if "=" in line]
+    i = names.index("low_level_calls")
+    assert names[i + 1 : i + 4] == ["picked_cardinal", "picked_semi", "picked_non"]
 
 
 def test_solve_baseline_flag(capsys):

@@ -167,6 +167,23 @@ def test_arrival_exactly_at_span_start_is_legal():
     assert plan.cost == 1  # (1,2) does not meet the open span (2,4)
 
 
+def test_edge_bans_bind_only_their_agent_and_direction():
+    g = _line_graph([2, 1])
+    free = sipp_plan(g, 0, 2, EMPTY_CONSTRAINTS, 0)
+    assert free is not None and free.steps == ((0, 0), (1, 2), (2, 3))
+    others = ConstraintSet(neg_edge=frozenset({(1, (0, 1), (0, 3)), (2, (1, 2), (1, 4))}))
+    assert not build_safe_intervals(others, 0).has_edge_bans
+    assert sipp_plan(g, 0, 2, others, 0) == free
+    # the agent's own ban on 0 -> 1 over (0,3) covers the departure at 0
+    own = ConstraintSet(neg_edge=frozenset({(0, (0, 1), (0, 3))}))
+    plan = sipp_plan(g, 0, 2, own, 0)
+    assert plan is not None
+    assert plan.steps == ((0, 0), (0, 1), (0, 2), (0, 3), (1, 5), (2, 6))
+    reverse = ConstraintSet(neg_edge=frozenset({(0, (1, 0), (0, 3))}))
+    assert build_safe_intervals(reverse, 0).has_edge_bans
+    assert sipp_plan(g, 0, 2, reverse, 0) == free
+
+
 def test_waypoint_forces_wait_at_midpoint():
     g = _line_graph([1, 1, 1])
     cs = ConstraintSet(pos_vertex=frozenset({(0, 2, 4)}))
