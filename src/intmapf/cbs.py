@@ -18,6 +18,13 @@ With lazy_pc=1 the earliest conflict is the only candidate, so nothing is
 prioritized.  Classifying replans both branches, so the picked conflict's
 branches, each with its full constraint set, become the node's children.
 
+A low-level plan depends on the constraint set only through what binds its
+agent (sipp.binding_constraints): the agent's own negatives and every
+positive.  A child re-classifies conflicts between agents its split did not
+touch, so the same request recurs; within one solve each distinct (agent,
+binding) pair is planned once and repeats are answered from a memo, which
+SearchStats.plans_reused counts.  low_level_calls counts every request.
+
 Occupancy follows the plan steps: a step pair (u, t_a) -> (v, t_b) occupies u
 at t_a, the edge during the open span (t_a, t_b), and v at t_b; after its last
 step an agent sits on its goal forever.  Two opposite traversals of one edge
@@ -37,7 +44,7 @@ from typing import Sequence
 
 from .graph import IntGraph, dijkstra
 from .mapio import Instance
-from .sipp import EMPTY_CONSTRAINTS, ConstraintSet, TimedPlan, sipp_plan
+from .sipp import EMPTY_CONSTRAINTS, Binding, ConstraintSet, TimedPlan, binding_constraints, sipp_plan
 
 __all__ = [
     "Conflict",
@@ -93,7 +100,8 @@ class CTNode:
 class SearchStats:
     nodes_generated: int = 0
     nodes_expanded: int = 0
-    low_level_calls: int = 0
+    low_level_calls: int = 0  # plans the high level asked for
+    plans_reused: int = 0  # of those, answered from the solve's memo
     # conflicts split by expanded nodes, by the class that picked them
     picked_cardinal: int = 0
     picked_semi: int = 0
@@ -232,6 +240,7 @@ class _Ctx:
         self.config = config
         self.deadline = deadline
         self.stats = SearchStats()
+        self.memo: dict[tuple[int, Binding], TimedPlan | None] = {}
         self.dist = [dijkstra(graph, g) for g in goals]
         if config.horizon is not None:
             self.horizon = config.horizon
@@ -250,7 +259,11 @@ class _Ctx:
 
     def plan(self, agent: int, constraints: ConstraintSet) -> TimedPlan | None:
         self.stats.low_level_calls += 1
-        return sipp_plan(
+        key = (agent, binding_constraints(constraints, agent))
+        if key in self.memo:
+            self.stats.plans_reused += 1
+            return self.memo[key]
+        plan = self.memo[key] = sipp_plan(
             self.graph,
             self.starts[agent],
             self.goals[agent],
@@ -259,6 +272,7 @@ class _Ctx:
             horizon=self.horizon,
             dist_to_goal=self.dist[agent],
         )
+        return plan
 
 
 def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan]) -> list[int]:

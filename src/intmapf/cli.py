@@ -97,6 +97,7 @@ def _print_stats(stats, s: float) -> None:
     print(f"picked_cardinal={stats.picked_cardinal}")
     print(f"picked_semi={stats.picked_semi}")
     print(f"picked_non={stats.picked_non}")
+    print(f"plans_reused={stats.plans_reused}")
     print(f"wall_time={stats.wall_time!r}")
 
 

@@ -37,6 +37,8 @@ __all__ = [
     "ConstraintSet",
     "TimedPlan",
     "SafeTable",
+    "Binding",
+    "binding_constraints",
     "build_safe_intervals",
     "sipp_plan",
 ]
@@ -159,6 +161,28 @@ class SafeTable:
         return worst
 
 
+class Binding(NamedTuple):
+    """The part of a constraint set that binds one agent.
+
+    build_safe_intervals reads nothing else of the set, so two sets with equal
+    bindings give the agent equal plans on a fixed graph, start, goal,
+    horizon and heuristic.
+    """
+
+    neg_vertex: frozenset[tuple[int, int]]  # the agent's own bans, as (v, t)
+    neg_edge: frozenset[tuple[tuple[int, int], tuple[int, int]]]  # own ((u, v), (t1, t2))
+    pos_vertex: frozenset[VertexConstraint]  # every agent's: own are waypoints, others' bans
+
+
+def binding_constraints(constraints: ConstraintSet, agent: int) -> Binding:
+    """Project a constraint set onto what binds one agent."""
+    return Binding(
+        frozenset((v, t) for a, v, t in constraints.neg_vertex if a == agent),
+        frozenset((e, span) for a, e, span in constraints.neg_edge if a == agent),
+        constraints.pos_vertex,
+    )
+
+
 def build_safe_intervals(constraints: ConstraintSet, agent: int) -> SafeTable:
     """Compile the constraints that bind one agent into a SafeTable.
 
@@ -166,12 +190,12 @@ def build_safe_intervals(constraints: ConstraintSet, agent: int) -> SafeTable:
     other agent's positive ones.  Bans split a vertex's timeline into maximal
     safe intervals sorted by start; the final interval is always unbounded.
     """
+    own = binding_constraints(constraints, agent)
     banned: dict[int, set[int]] = {}
-    for a, v, t in constraints.neg_vertex:
-        if a == agent:
-            banned.setdefault(v, set()).add(t)
+    for v, t in own.neg_vertex:
+        banned.setdefault(v, set()).add(t)
     waypoints: list[tuple[int, int]] = []
-    for a, v, t in constraints.pos_vertex:
+    for a, v, t in own.pos_vertex:
         if a == agent:
             waypoints.append((t, v))
         else:
@@ -187,9 +211,8 @@ def build_safe_intervals(constraints: ConstraintSet, agent: int) -> SafeTable:
         spans.append(SafeInterval(cur, math.inf))
         vertex_intervals[v] = tuple(spans)
     edge_forbidden: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, (u, v), (t1, t2) in constraints.neg_edge:
-        if a == agent:
-            edge_forbidden.setdefault((u, v), []).append((t1, t2))
+    for e, span in own.neg_edge:
+        edge_forbidden.setdefault(e, []).append(span)
     return SafeTable(
         vertex_intervals,
         {e: tuple(sorted(spans)) for e, spans in edge_forbidden.items()},

@@ -32,6 +32,7 @@ from intmapf import (
 from intmapf import cbs
 from intmapf.cbs import SearchStats, classify_conflict, make_branch_constraints
 from intmapf.graph import RealGraph
+from intmapf.sipp import binding_constraints
 
 from oracles import first_conflicts, joint_optimal_makespan
 
@@ -391,6 +392,31 @@ def test_only_expanded_nodes_are_classified(monkeypatch):
                 assert calls == splits, (case["starts"], name)
             else:
                 assert calls <= 8 * splits, (case["starts"], name)
+
+
+def test_each_binding_constraint_set_is_planned_once(monkeypatch):
+    # A plan depends on the constraint set only through what binds its agent,
+    # so within one solve SIPP runs once per (agent, binding); every other
+    # request is answered from the memo and counted as reused.
+    recorded = []
+    original = cbs.sipp_plan
+
+    def recorder(graph, start, goal, constraints, agent, **kw):
+        recorded.append((agent, binding_constraints(constraints, agent)))
+        return original(graph, start, goal, constraints, agent, **kw)
+
+    monkeypatch.setattr(cbs, "sipp_plan", recorder)
+    reused_somewhere = False
+    for case, inst in _pinned_cases():
+        for name, cfg in _PINNED_CONFIGS.items():
+            recorded.clear()
+            out = solve(inst, cfg)
+            assert isinstance(out, Solution)
+            st, where = out.stats, (case["starts"], name)
+            assert len(set(recorded)) == len(recorded), where
+            assert len(recorded) == st.low_level_calls - st.plans_reused, where
+            reused_somewhere |= st.plans_reused > 0
+    assert reused_somewhere
 
 
 def test_solve_is_deterministic():

@@ -52,7 +52,8 @@ def test_solve_grid_success(capsys):
     assert "nodes_expanded=" in out and "low_level_calls=" in out
     names = [line.split("=")[0] for line in out.splitlines() if "=" in line]
     i = names.index("low_level_calls")
-    assert names[i + 1 : i + 4] == ["picked_cardinal", "picked_semi", "picked_non"]
+    assert names[i + 1 : i + 5] == ["picked_cardinal", "picked_semi", "picked_non", "plans_reused"]
+    assert int(out.split("plans_reused=")[1].split()[0]) >= 0
 
 
 def test_solve_baseline_flag(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from intmapf import ConstraintSet, IntGraph, Instance, Solution, SolveConfig, Vertex, sipp_plan, solve
 from intmapf.cbs import validate_solution
+from intmapf.sipp import binding_constraints
 
 import oracles
 
@@ -31,6 +32,13 @@ def int_graphs(draw, min_n=2, max_n=6, max_w=3, max_extra=4):
     return IntGraph([Vertex(i, (float(i), 0.0)) for i in range(n)], weighted)
 
 
+def _edge_bans(draw, g, agents, max_size):
+    """Negative edge constraints for the drawn agents on g's directed edges (g has at least one)."""
+    directed = [(u, v) for u, v, _ in g.edges] + [(v, u) for u, v, _ in g.edges]
+    spans = st.tuples(st.integers(0, 9), st.integers(1, 4)).map(lambda p: (p[0], p[0] + p[1]))
+    return draw(st.lists(st.tuples(agents, st.sampled_from(directed), spans), max_size=max_size))
+
+
 @st.composite
 def sipp_cases(draw):
     """A graph, start and goal, and constraints on agent 0 of all four kinds."""
@@ -41,11 +49,7 @@ def sipp_cases(draw):
     own_wps = draw(st.lists(st.tuples(st.just(0), vertex, time), max_size=3))
     others = draw(st.lists(st.tuples(st.integers(1, 2), vertex, time), max_size=3))
     bans = draw(st.lists(st.tuples(st.just(0), vertex, time), max_size=6))
-    directed = [(u, v) for u, v, _ in g.edges] + [(v, u) for u, v, _ in g.edges]
-    edge_bans = []
-    if directed:
-        spans = st.tuples(st.integers(0, 9), st.integers(1, 4)).map(lambda p: (p[0], p[0] + p[1]))
-        edge_bans = draw(st.lists(st.tuples(st.just(0), st.sampled_from(directed), spans), max_size=3))
+    edge_bans = _edge_bans(draw, g, st.just(0), max_size=3)
     pos = frozenset(own_wps) | frozenset(others)
     cs = ConstraintSet(frozenset(bans) - pos, frozenset(edge_bans), pos)
     return g, start, goal, cs
@@ -64,6 +68,34 @@ def test_sipp_matches_time_expanded_optimum(case):
     assert plan is not None and plan.cost == want
     assert plan.steps[0] == (start, 0) and plan.steps[-1][0] == goal
     assert oracles.replay_violations(g, plan, cs, 0) == []
+
+
+@PROPERTY
+@given(sipp_cases(), st.data())
+def test_other_agents_negatives_never_change_a_plan(case, data):
+    # the premise of CBS's low-level memo: a plan depends on a constraint set
+    # only through binding_constraints, which drops other agents' negatives
+    g, start, goal, cs = case
+    vertex = st.integers(0, g.n - 1)
+    time = st.integers(0, 10)
+    bans = data.draw(st.lists(st.tuples(st.integers(1, 2), vertex, time), max_size=6))
+    edge_bans = _edge_bans(data.draw, g, st.integers(1, 2), max_size=4)
+    more = ConstraintSet(cs.neg_vertex | (frozenset(bans) - cs.pos_vertex), cs.neg_edge | frozenset(edge_bans), cs.pos_vertex)
+    assert binding_constraints(more, 0) == binding_constraints(cs, 0)
+    for horizon in (None, 20):
+        assert sipp_plan(g, start, goal, more, 0, horizon=horizon) == sipp_plan(g, start, goal, cs, 0, horizon=horizon)
+
+
+def test_other_agents_positive_on_the_only_path_changes_the_plan():
+    # another agent's positive constraint bans the vertex for this one, so
+    # the memo's key has to keep every positive constraint
+    g = IntGraph([Vertex(i, (float(i), 0.0)) for i in range(3)], [(0, 1, 1), (1, 2, 1)])
+    free = sipp_plan(g, 0, 2, ConstraintSet(), 0)
+    assert free is not None and free.steps == ((0, 0), (1, 1), (2, 2))
+    cs = ConstraintSet(pos_vertex=frozenset({(1, 1, 1)}))
+    assert binding_constraints(cs, 0) != binding_constraints(ConstraintSet(), 0)
+    plan = sipp_plan(g, 0, 2, cs, 0)
+    assert plan is not None and plan.steps == ((0, 0), (0, 1), (1, 2), (2, 3))
 
 
 @st.composite
