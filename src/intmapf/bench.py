@@ -69,8 +69,7 @@ class ExperimentSpec:
     agent_counts: tuple[int, ...]
     modes: tuple[str, ...]
     fixed_s: float = 1.0
-    timeout: float = 10.0
-    solver: SolveConfig = field(default_factory=SolveConfig)
+    solver: SolveConfig = field(default_factory=lambda: SolveConfig(timeout=10.0))
     tune: TuneConfig | None = None
     seed: int = 0
     workers: int = 1
@@ -176,6 +175,7 @@ def _worker(payload) -> ResultRow:
 
 
 def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
+    eval_timeout = 3.0 if spec.solver.timeout is None else min(3.0, spec.solver.timeout)
     cfg = spec.tune
     if cfg is None:
         max_w = max(w for _, _, w in case.graph.edges)
@@ -185,11 +185,11 @@ def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
             budget=6,
             population=12,
             generations=10,
-            eval_timeout=min(3.0, spec.timeout),
+            eval_timeout=eval_timeout,
             restarts=4,
         )
     elif cfg.eval_timeout is None:
-        cfg = replace(cfg, eval_timeout=min(3.0, spec.timeout))
+        cfg = replace(cfg, eval_timeout=eval_timeout)
     n = min(max(spec.agent_counts), len(case.scenarios[0]))
     inst = _case_instance(case, 0, n)
     t0 = _time.perf_counter()
@@ -200,7 +200,7 @@ def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
     return TuningRecord(case.name, case.k, s, wall, len(result.observations), fallback)
 
 
-def _case_tasks(case: MapCase, spec: ExperimentSpec, tuned_s: float | None, solver: SolveConfig):
+def _case_tasks(case: MapCase, spec: ExperimentSpec, tuned_s: float | None):
     """Row payloads of one case: one integer graph per scale, one real instance per (scenario, agent count)."""
     scales = {"fixed": spec.fixed_s, "baseline": 1.0, "tuned": tuned_s}
     graphs = {s: discretize(case.graph, s) for s in {scales[m] for m in spec.modes}}
@@ -209,7 +209,7 @@ def _case_tasks(case: MapCase, spec: ExperimentSpec, tuned_s: float | None, solv
             real = _case_instance(case, scenario, n_agents)
             for mode in spec.modes:
                 s = scales[mode]
-                yield case, replace(real, graph=graphs[s]), scenario, n_agents, mode, s, solver
+                yield case, replace(real, graph=graphs[s]), scenario, n_agents, mode, s, spec.solver
 
 
 def run_suite(spec: ExperimentSpec) -> SuiteResult:
@@ -221,12 +221,11 @@ def run_suite(spec: ExperimentSpec) -> SuiteResult:
             rec = _tuned_scale(case, spec)
             tuning.append(rec)
             tuned_s[(case.name, case.k)] = rec.s
-    solver = replace(spec.solver, timeout=spec.timeout)
     rows: list[ResultRow] = []
     with ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for case in spec.cases:
-            rows.extend(run(_worker, _case_tasks(case, spec, tuned_s.get((case.name, case.k)), solver)))
+            rows.extend(run(_worker, _case_tasks(case, spec, tuned_s.get((case.name, case.k)))))
     return SuiteResult(tuple(rows), tuple(tuning))
 
 
@@ -390,7 +389,7 @@ def desk_suite(
         cases=tuple(cases),
         agent_counts=agent_counts,
         modes=modes,
-        timeout=timeout,
+        solver=SolveConfig(timeout=timeout),
         seed=seed,
         workers=workers,
     )

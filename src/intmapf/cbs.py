@@ -9,14 +9,14 @@ inherits it as a negative) and the matching negative.  An edge conflict always
 splits into two negative edge-interval constraints, each handing one agent the
 other's traversal window.
 
-A node picks its conflict when it is expanded, so nodes that never leave the
-open list cost only their conflict detection.  The first lazy_pc of its
-conflicts are classified by how the two candidate children's costs move (both
-strictly above the node's cost is cardinal, one is semi-cardinal, none is
-non-cardinal), and the highest class wins, the earliest conflict on ties.
+A node detects its conflicts and picks one when it is expanded, so nodes
+that never leave the open list cost only their plans.  The first lazy_pc of
+its conflicts are classified by how the two candidate children's costs move
+(both strictly above the node's cost is cardinal, one is semi-cardinal, none
+is non-cardinal), and the highest class wins, the earliest conflict on ties.
 With lazy_pc=1 the earliest conflict is the only candidate, so nothing is
-prioritized.  Classifying replans both branches, so the picked conflict's
-branches, each with its full constraint set, become the node's children.
+prioritized.  Classifying builds both children, so the picked conflict's
+children go onto the open list as they are.
 
 A low-level plan depends on the constraint set only through what binds its
 agent (sipp.binding_constraints): the agent's own negatives and every
@@ -48,7 +48,6 @@ from .sipp import EMPTY_CONSTRAINTS, Binding, ConstraintSet, TimedPlan, binding_
 
 __all__ = [
     "Conflict",
-    "Branch",
     "CTNode",
     "SearchStats",
     "Solution",
@@ -79,21 +78,11 @@ class Conflict:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One child candidate: its full constraint set, replanned plans, resulting cost."""
-
-    constraints: ConstraintSet
-    plans: dict[int, TimedPlan]
-    cost: float  # math.inf when some constrained agent has no plan
-
-
-@dataclass(frozen=True)
 class CTNode:
     constraints: ConstraintSet
     plans: tuple[TimedPlan, ...]
-    cost: int
-    soc: int
-    conflicts: list[Conflict]  # detect_conflicts order; empty when the plans are a solution
+    cost: int  # makespan of the plans
+    soc: int  # sum of their costs
 
 
 @dataclass
@@ -294,50 +283,43 @@ def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan]) -
     return sorted(agents)
 
 
-def _branches(ctx: _Ctx, constraints: ConstraintSet, plans: Sequence[TimedPlan], conflict: Conflict) -> tuple[Branch, ...]:
-    branches = []
+def _node(constraints: ConstraintSet, plans: tuple[TimedPlan, ...]) -> CTNode:
+    return CTNode(constraints, plans, max(p.cost for p in plans), sum(p.cost for p in plans))
+
+
+def _children(ctx: _Ctx, node: CTNode, conflict: Conflict) -> tuple[CTNode | None, ...]:
+    """The two children a conflict splits node into; None where a replanned agent has no plan."""
+    children: list[CTNode | None] = []
     for delta in make_branch_constraints(conflict, ctx.config.disjoint):
         ctx.check_deadline()
-        child_constraints = constraints.union(delta)
-        new_plans: dict[int, TimedPlan] = {}
-        feasible = True
-        for a in _replan_agents(delta, plans):
-            p = ctx.plan(a, child_constraints)
+        constraints = node.constraints.union(delta)
+        plans = list(node.plans)
+        for a in _replan_agents(delta, node.plans):
+            p = ctx.plan(a, constraints)
             if p is None:
-                feasible = False
+                children.append(None)
                 break
-            new_plans[a] = p
-        if feasible:
-            cost: float = max(new_plans.get(a, plans[a]).cost for a in range(len(plans)))
+            plans[a] = p
         else:
-            new_plans = {}
-            cost = math.inf
-        branches.append(Branch(child_constraints, new_plans, cost))
-    return tuple(branches)
+            children.append(_node(constraints, tuple(plans)))
+    return tuple(children)
 
 
 _PC_RANK = {"cardinal": 2, "semi": 1, "non": 0}
 
 
-def _make_node(constraints: ConstraintSet, plans: tuple[TimedPlan, ...]) -> CTNode:
-    """Node for these plans, holding their conflicts for its expansion to split."""
-    cost = max(p.cost for p in plans)
-    soc = sum(p.cost for p in plans)
-    return CTNode(constraints, plans, cost, soc, detect_conflicts(plans))
-
-
-def _split(ctx: _Ctx, node: CTNode) -> tuple[Branch, ...]:
-    """Branches of the conflict an expanded node splits.
+def _split(ctx: _Ctx, node: CTNode, conflicts: list[Conflict]) -> tuple[CTNode | None, ...]:
+    """Children of the conflict an expanded node splits.
 
     The node's first lazy_pc conflicts are classified; the highest class wins
     and the earliest conflict wins ties.
     """
     picked_class, picked = "", ()
-    for conflict in node.conflicts[: ctx.config.lazy_pc]:
-        branches = _branches(ctx, node.constraints, node.plans, conflict)
-        cls = classify_conflict(node.cost, [b.cost for b in branches])
+    for conflict in conflicts[: ctx.config.lazy_pc]:
+        children = _children(ctx, node, conflict)
+        cls = classify_conflict(node.cost, [math.inf if c is None else c.cost for c in children])
         if not picked or _PC_RANK[cls] > _PC_RANK[picked_class]:
-            picked_class, picked = cls, branches
+            picked_class, picked = cls, children
     stats = ctx.stats
     if picked_class == "cardinal":
         stats.picked_cardinal += 1
@@ -380,7 +362,7 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             if p is None:
                 return finish(Failure("exhausted", ctx.stats))
             root_plans.append(p)
-        root = _make_node(EMPTY_CONSTRAINTS, tuple(root_plans))
+        root = _node(EMPTY_CONSTRAINTS, tuple(root_plans))
         ctx.stats.nodes_generated += 1
         # the unique tick settles every tie, so nodes themselves are never compared
         tick = 0
@@ -389,13 +371,12 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             ctx.check_deadline()
             node = heapq.heappop(open_heap)[3]
             ctx.stats.nodes_expanded += 1
-            if not node.conflicts:
+            conflicts = detect_conflicts(node.plans)
+            if not conflicts:
                 return finish(Solution(node.plans, node.cost, ctx.stats))
-            for branch in _split(ctx, node):
-                if math.isinf(branch.cost):
+            for child in _split(ctx, node, conflicts):
+                if child is None:
                     continue
-                child_plans = tuple(branch.plans.get(a, p) for a, p in enumerate(node.plans))
-                child = _make_node(branch.constraints, child_plans)
                 assert child.cost >= node.cost, "constraint tree cost must not decrease"
                 ctx.stats.nodes_generated += 1
                 tick += 1

@@ -169,21 +169,21 @@ def _add_map_flags(p: argparse.ArgumentParser, need_agents: bool = True) -> None
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--disjoint", action="store_true", help="split vertex conflicts disjointly")
     p.add_argument(
-        "--lazy-pc", type=int, default=8,
+        "--lazy-pc", type=int, default=SolveConfig.lazy_pc,
         help="conflicts classified per node; 1 expands the earliest conflict (no prioritization)",
     )
-    p.add_argument("--timeout", type=float, default=None, help="solver budget in seconds")
-    p.add_argument("--horizon", type=int, default=None, help="latest allowed arrival time")
+    p.add_argument("--timeout", type=float, default=SolveConfig.timeout, help="solver budget in seconds")
+    p.add_argument("--horizon", type=int, default=SolveConfig.horizon, help="latest allowed arrival time")
 
 
 def _add_tune_flags(p: argparse.ArgumentParser, require_range: bool) -> None:
     p.add_argument("--s-min", type=float, required=require_range, default=None if require_range else 0.5)
     p.add_argument("--s-max", type=float, required=require_range, default=None if require_range else 2.5)
-    p.add_argument("--budget", type=int, default=25, help="true evaluations")
-    p.add_argument("--population", type=int, default=20)
-    p.add_argument("--generations", type=int, default=30)
-    p.add_argument("--delta", type=float, default=0.1, help="confidence parameter")
-    p.add_argument("--eval-timeout", type=float, default=None, help="per-evaluation solver budget")
+    p.add_argument("--budget", type=int, default=TuneConfig.budget, help="true evaluations")
+    p.add_argument("--population", type=int, default=TuneConfig.population)
+    p.add_argument("--generations", type=int, default=TuneConfig.generations)
+    p.add_argument("--delta", type=float, default=TuneConfig.delta, help="confidence parameter")
+    p.add_argument("--eval-timeout", type=float, default=TuneConfig.eval_timeout, help="per-evaluation solver budget")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -19,6 +19,11 @@ __all__ = [
     "nsga2_evolve",
 ]
 
+ETA_C = 15.0  # simulated binary crossover distribution index
+ETA_M = 20.0  # polynomial mutation distribution index
+P_CROSSOVER = 0.9
+P_MUTATION = 1.0  # per child; the decision variable is one-dimensional
+
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     """Pareto dominance for minimization: no worse everywhere, better somewhere."""
@@ -113,17 +118,11 @@ def nsga2_evolve(
     bounds: tuple[float, float],
     generations: int,
     rng: np.random.Generator,
-    *,
-    eta_c: float = 15.0,
-    eta_m: float = 20.0,
-    p_crossover: float = 0.9,
-    p_mutation: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve a scalar population and return (first-front values, their objectives).
 
     objective maps an (n,) array of decision values to an (n, 2) array to
-    minimize.  The mutation rate default is 1 because the decision variable
-    is one-dimensional.  The returned front is sorted by decision value.
+    minimize.  The returned front is sorted by decision value.
     """
     lo, hi = bounds
     if not hi > lo:
@@ -139,14 +138,14 @@ def nsga2_evolve(
         while len(kids) < n:
             p1 = x[_tournament(rank, crowd, rng)]
             p2 = x[_tournament(rank, crowd, rng)]
-            if rng.random() <= p_crossover:
-                c1, c2 = _sbx(p1, p2, eta_c, rng)
+            if rng.random() <= P_CROSSOVER:
+                c1, c2 = _sbx(p1, p2, ETA_C, rng)
             else:
                 c1, c2 = p1, p2
-            if rng.random() <= p_mutation:
-                c1 = _poly_mutate(c1, lo, hi, eta_m, rng)
-            if rng.random() <= p_mutation:
-                c2 = _poly_mutate(c2, lo, hi, eta_m, rng)
+            if rng.random() <= P_MUTATION:
+                c1 = _poly_mutate(c1, lo, hi, ETA_M, rng)
+            if rng.random() <= P_MUTATION:
+                c2 = _poly_mutate(c2, lo, hi, ETA_M, rng)
             kids.extend((c1, c2))
         cx = np.clip(np.array(kids[:n]), lo, hi)
         cf = _eval_objs(objective, cx)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
@@ -192,9 +192,10 @@ def fit_surrogate(
     ell = math.exp(best_params[0])
     sf2 = math.exp(best_params[1])
     sn2 = noise_variance if noise_variance is not None else math.exp(best_params[2])
-    c, low = cho_factor(_gram(d2, ell, sf2, sn2), lower=True)
-    alpha = cho_solve((c, low), y)
-    L = np.tril(c)  # lower=True: the factor sits in the lower triangle
+    L, info = dpotrf(_gram(d2, ell, sf2, sn2), lower=1, clean=1)  # clean=1 zeros the upper triangle
+    if info != 0:
+        raise np.linalg.LinAlgError(f"kernel matrix is not positive definite (dpotrf info {info})")
+    alpha, _ = dpotrs(L, y, lower=1)
     return SurrogatePosterior(x_norm, alpha, L, ell, sf2, sn2, x_lo, x_span, y_mean, y_std)
 
 

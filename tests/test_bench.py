@@ -69,7 +69,7 @@ def test_mini_suite_rows_and_order():
         agent_counts=(1, 2),
         modes=("fixed", "baseline"),
         fixed_s=0.5,
-        timeout=10.0,
+        solver=SolveConfig(timeout=10.0),
     )
     out = run_suite(spec)
     assert isinstance(out, SuiteResult)
@@ -121,8 +121,7 @@ def test_unsolvable_case_times_out_near_budget():
         cases=(_swap_roadmap_case(),),
         agent_counts=(2,),
         modes=("baseline",),
-        timeout=1.0,
-        solver=SolveConfig(horizon=16),
+        solver=SolveConfig(horizon=16, timeout=1.0),
     )
     rows = run_suite(spec).rows
     assert len(rows) == 1
@@ -137,12 +136,21 @@ def test_fast_exhaustion_is_a_failure_row_not_an_abort():
         cases=(_swap_roadmap_case(),),
         agent_counts=(2,),
         modes=("baseline",),
-        timeout=10.0,
-        solver=SolveConfig(horizon=6),
+        solver=SolveConfig(horizon=6, timeout=10.0),
     )
     rows = run_suite(spec).rows
     assert [r.success for r in rows] == [False]
     assert rows[0].runtime_s < 5.0
+
+
+def test_the_solver_timeout_is_the_suite_budget():
+    spec = ExperimentSpec(
+        cases=(_mini_case(),), agent_counts=(2,), modes=("fixed", "baseline"), solver=SolveConfig(timeout=1e-9)
+    )
+    rows = run_suite(spec).rows
+    assert len(rows) == 4 and not any(r.success for r in rows)
+    assert ExperimentSpec(cases=(_mini_case(),), agent_counts=(2,), modes=("baseline",)).solver.timeout == 10.0
+    assert desk_suite(timeout=2.5).solver == SolveConfig(timeout=2.5)
 
 
 def test_tuned_mode_reuses_one_tuning_run():
@@ -150,7 +158,7 @@ def test_tuned_mode_reuses_one_tuning_run():
         cases=(_mini_case(),),
         agent_counts=(2,),
         modes=("tuned",),
-        timeout=5.0,
+        solver=SolveConfig(timeout=5.0),
         tune=TuneConfig(s_min=0.5, s_max=2.0, budget=4, population=8, generations=3, restarts=2),
     )
     out = run_suite(spec)

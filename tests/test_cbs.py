@@ -394,6 +394,29 @@ def test_only_expanded_nodes_are_classified(monkeypatch):
                 assert calls <= 8 * splits, (case["starts"], name)
 
 
+def test_only_expanded_nodes_are_checked_for_conflicts(monkeypatch):
+    # A node's conflicts are detected when it is popped, so a solve runs
+    # detection once per expanded node and never for nodes left open.
+    calls = 0
+    original = cbs.detect_conflicts
+
+    def counted(plans):
+        nonlocal calls
+        calls += 1
+        return original(plans)
+
+    monkeypatch.setattr(cbs, "detect_conflicts", counted)
+    left_open = False
+    for case, inst in _pinned_cases():
+        for name, cfg in _PINNED_CONFIGS.items():
+            calls = 0
+            out = solve(inst, cfg)
+            assert isinstance(out, Solution)
+            assert calls == out.stats.nodes_expanded, (case["starts"], name)
+            left_open |= out.stats.nodes_generated > out.stats.nodes_expanded
+    assert left_open
+
+
 def test_each_binding_constraint_set_is_planned_once(monkeypatch):
     # A plan depends on the constraint set only through what binds its agent,
     # so within one solve SIPP runs once per (agent, binding); every other

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from intmapf import cli
+from intmapf.cbs import SolveConfig
 from intmapf.cli import main
 from intmapf.graph import build_grid_graph
 from intmapf.mapio import parse_map, parse_roadmap, serialize_roadmap
+from intmapf.tuning import TuneConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MAP = str(FIXTURES / "tiny.map")
@@ -124,6 +127,30 @@ def test_solve_with_tuning(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "s_tuned=" in out and "makespan=" in out
+
+
+def test_flags_left_out_build_the_config_defaults(monkeypatch):
+    seen = {}
+    original = cli.solve
+
+    def recording_solve(inst, config=None):
+        seen["solve"] = config
+        return original(inst, config)
+
+    class Stop(Exception):
+        pass
+
+    def recording_tune(inst, config, *, solve_config=None, seed=0):
+        seen["tune"] = (config, solve_config)
+        raise Stop
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    monkeypatch.setattr(cli, "tune_graph", recording_tune)
+    assert main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1"]) == 0
+    assert seen["solve"] == SolveConfig()
+    with pytest.raises(Stop):
+        main(["tune", "--map", MAP, "--scen", SCEN, "--agents", "1", "--s-min", "0.5", "--s-max", "2.0"])
+    assert seen["tune"] == (TuneConfig(s_min=0.5, s_max=2.0), SolveConfig())
 
 
 # ---------------------------------------------------------------- config file
