@@ -132,14 +132,18 @@ class SummaryRow:
     makespan_q3: float | None
 
 
-def _case_instance(case: MapCase, scenario: int, n_agents: int) -> Instance:
+def _cell_ids(case: MapCase) -> dict[tuple[int, int], int] | None:
+    """Vertex id of each passable cell of a grid case; None for a roadmap case."""
+    return None if case.grid is None else cell_vertex_ids(case.grid)
+
+
+def _case_instance(case: MapCase, ids: dict[tuple[int, int], int] | None, scenario: int, n_agents: int) -> Instance:
     entries = case.scenarios[scenario][:n_agents]
     if len(entries) < n_agents:
         raise ValueError(
             f"{case.name} scenario {scenario} has {len(entries)} entries, needs {n_agents}"
         )
-    if case.grid is not None:
-        ids = cell_vertex_ids(case.grid)
+    if ids is not None:
         starts = tuple(ids[e.start] for e in entries)
         goals = tuple(ids[e.goal] for e in entries)
     else:
@@ -178,10 +182,9 @@ def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
     eval_timeout = 3.0 if spec.solver.timeout is None else min(3.0, spec.solver.timeout)
     cfg = spec.tune
     if cfg is None:
-        max_w = max(w for _, _, w in case.graph.edges)
         cfg = TuneConfig(
             s_min=0.5,
-            s_max=max(2.5, max_w),
+            s_max=max(2.5, case.graph.max_weight),
             budget=6,
             population=12,
             generations=10,
@@ -191,7 +194,7 @@ def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
     elif cfg.eval_timeout is None:
         cfg = replace(cfg, eval_timeout=eval_timeout)
     n = min(max(spec.agent_counts), len(case.scenarios[0]))
-    inst = _case_instance(case, 0, n)
+    inst = _case_instance(case, _cell_ids(case), 0, n)
     t0 = _time.perf_counter()
     result = tune_graph(inst, cfg, solve_config=spec.solver, seed=spec.seed)
     wall = _time.perf_counter() - t0
@@ -204,9 +207,10 @@ def _case_tasks(case: MapCase, spec: ExperimentSpec, tuned_s: float | None):
     """Row payloads of one case: one integer graph per scale, one real instance per (scenario, agent count)."""
     scales = {"fixed": spec.fixed_s, "baseline": 1.0, "tuned": tuned_s}
     graphs = {s: discretize(case.graph, s) for s in {scales[m] for m in spec.modes}}
+    ids = _cell_ids(case)
     for n_agents in spec.agent_counts:
         for scenario in range(len(case.scenarios)):
-            real = _case_instance(case, scenario, n_agents)
+            real = _case_instance(case, ids, scenario, n_agents)
             for mode in spec.modes:
                 s = scales[mode]
                 yield case, replace(real, graph=graphs[s]), scenario, n_agents, mode, s, spec.solver

@@ -24,6 +24,9 @@ positive.  A child re-classifies conflicts between agents its split did not
 touch, so the same request recurs; within one solve each distinct (agent,
 binding) pair is planned once and repeats are answered from a memo, which
 SearchStats.plans_reused counts.  low_level_calls counts every request.
+SIPP is guided by each agent's exact distance to its goal.  Those distances
+depend only on the graph, so they are computed (by graph.dijkstra, on scipy's
+csgraph) once per (IntGraph, goal) and kept on the graph for every later solve.
 
 Occupancy follows the plan steps: a step pair (u, t_a) -> (v, t_b) occupies u
 at t_a, the edge during the open span (t_a, t_b), and v at t_b; after its last
@@ -230,17 +233,21 @@ class _Ctx:
         self.deadline = deadline
         self.stats = SearchStats()
         self.memo: dict[tuple[int, Binding], TimedPlan | None] = {}
-        self.dist = [dijkstra(graph, g) for g in goals]
+        # goal distances depend only on the graph, so every solve on it shares them
+        known = graph.goal_dist
+        for g in goals:
+            if g not in known:
+                known[g] = tuple(dijkstra(graph, g))
+        self.dist = [known[g] for g in goals]
         if config.horizon is not None:
             self.horizon = config.horizon
         else:
             lb = max(self.dist[a][starts[a]] for a in range(len(starts)))
             if math.isinf(lb):
                 lb = 0  # some agent is cut off; the root plan fails anyway
-            max_w = max((w for _, _, w in graph.edges), default=1)
-            max_deg = max((len(nbrs) for nbrs in graph.adjacency), default=1)
+            max_deg = graph.max_degree
             kexp = max(2, math.ceil(math.log2(max_deg)) if max_deg > 1 else 2)
-            self.horizon = int(2 * lb + kexp * max_w)
+            self.horizon = int(2 * lb + kexp * graph.max_weight)
 
     def check_deadline(self) -> None:
         if self.deadline is not None and _time.perf_counter() > self.deadline:

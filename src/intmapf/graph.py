@@ -11,10 +11,14 @@ measures how much a discretization distorts those paths.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 __all__ = [
     "Vertex",
@@ -46,7 +50,8 @@ class _BaseGraph:
 
     Vertices must have ids 0..n-1 in order.  Edges are undirected, stored once
     with u < v, and exposed through a per-vertex adjacency list sorted by
-    neighbor id.  Instances are treated as immutable after construction.
+    neighbor id.  Instances are treated as immutable after construction, so
+    what is derived from the edges is computed once, on first use.
     """
 
     def __init__(self, vertices: Sequence[Vertex], edges: Iterable[tuple[int, int, float]]):
@@ -85,6 +90,25 @@ class _BaseGraph:
     def n(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def max_weight(self) -> float:
+        """Largest edge weight (1 for a graph without edges)."""
+        return max((w for _, _, w in self.edges), default=1)
+
+    @cached_property
+    def max_degree(self) -> int:
+        """Largest number of neighbors of any vertex (1 for a graph without edges)."""
+        return max((len(nbrs) for nbrs in self.adjacency), default=1)
+
+    @cached_property
+    def csr(self) -> csr_matrix:
+        """The adjacency as an n x n sparse matrix: both directions, float64 weights."""
+        u = np.array([e[0] for e in self.edges], dtype=np.int64)
+        v = np.array([e[1] for e in self.edges], dtype=np.int64)
+        w = np.array([e[2] for e in self.edges], dtype=np.float64)
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(self.n, self.n))
+
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
         return key in self._weight
@@ -114,6 +138,11 @@ class IntGraph(_BaseGraph):
     def _check_weight(self, u: int, v: int, w: float) -> None:
         if not (isinstance(w, int) and w >= 1):
             raise ValueError(f"edge ({u},{v}) weight {w!r} is not an integer >= 1")
+
+    @cached_property
+    def goal_dist(self) -> dict[int, tuple[int | float, ...]]:
+        """dijkstra(self, goal) as a tuple per goal asked for so far; cbs.solve fills it."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -294,22 +323,28 @@ def discretization_error(g: RealGraph, s: float, paths: Iterable[Sequence[int]])
 
 
 def dijkstra(graph: _BaseGraph, source: int) -> list[float]:
-    """Shortest-path distances from source to every vertex (math.inf if unreachable)."""
+    """Shortest-path distances from source to every vertex (math.inf if unreachable).
+
+    One scipy.sparse.csgraph.dijkstra run over graph.csr.  Each distance is
+    the minimum over the same dist[u] + w sums a textbook Dijkstra forms, so a
+    RealGraph gets those floats exactly.  An IntGraph gets Python ints, exact
+    while every distance stays below 2**53 (ValueError past that).  cbs.solve
+    calls this once per (IntGraph, goal) and keeps the result in
+    IntGraph.goal_dist.
+    """
     if not (0 <= source < graph.n):
         raise ValueError(f"source {source} out of range for {graph.n} vertices")
-    dist = [math.inf] * graph.n
-    dist[source] = 0
-    heap: list[tuple[float, int]] = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in graph.adjacency[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    dist = _csgraph_dijkstra(graph.csr, indices=source)
+    if not isinstance(graph, IntGraph):
+        return dist.tolist()
+    reachable = np.isfinite(dist)
+    finite = np.where(reachable, dist, 0.0)
+    if finite.max() >= 2.0**53:
+        raise ValueError(f"distances from {source} reach 2**53, past exact float64 integers")
+    out: list[float] = finite.astype(np.int64).tolist()
+    for v in np.flatnonzero(~reachable).tolist():
+        out[v] = math.inf
+    return out
 
 
 def shortest_path(graph: _BaseGraph, source: int, target: int) -> list[int] | None:

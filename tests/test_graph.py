@@ -351,6 +351,26 @@ def test_shortest_path_ties_break_toward_smaller_predecessor():
     assert shortest_path(g, 3, 0) == [3, 1, 0]
 
 
+def test_dijkstra_on_int_graphs_gives_ints_and_inf():
+    # 0-1-2 is one component and 3-4 another; vertex 5 has no edges
+    g = IntGraph(_line_vertices(6), [(0, 1, 2), (1, 2, 3), (0, 2, 7), (3, 4, 1)])
+    dist = dijkstra(g, 0)
+    assert dist == [0, 2, 5, math.inf, math.inf, math.inf]
+    assert [type(d) for d in dist[:3]] == [int, int, int]
+    assert dijkstra(g, 4) == [math.inf, math.inf, math.inf, 1, 0, math.inf]
+    assert dijkstra(g, 5) == [math.inf] * 5 + [0]
+    bare = IntGraph(_line_vertices(3), [])
+    assert dijkstra(bare, 1) == [math.inf, 0, math.inf]
+    assert type(dijkstra(IntGraph(_line_vertices(1), []), 0)[0]) is int
+
+
+def test_dijkstra_refuses_int_distances_past_float64():
+    g = IntGraph(_line_vertices(3), [(0, 1, 2**52), (1, 2, 2**52)])
+    assert dijkstra(g, 1) == [2**52, 0, 2**52]
+    with pytest.raises(ValueError):  # 0 to 2 is 2**53
+        dijkstra(g, 0)
+
+
 def test_dijkstra_source_out_of_range():
     g = _random_graph(np.random.default_rng(0), 4)
     with pytest.raises(ValueError):
