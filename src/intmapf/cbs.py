@@ -24,9 +24,8 @@ positive.  A child re-classifies conflicts between agents its split did not
 touch, so the same request recurs; within one solve each distinct (agent,
 binding) pair is planned once and repeats are answered from a memo, which
 SearchStats.plans_reused counts.  low_level_calls counts every request.
-SIPP is guided by each agent's exact distance to its goal.  Those distances
-depend only on the graph, so they are computed (by graph.dijkstra, on scipy's
-csgraph) once per (IntGraph, goal) and kept on the graph for every later solve.
+SIPP is guided by each agent's exact distance to its goal, computed once per
+solve and goal by graph.dijkstra, one scipy.sparse.csgraph run each.
 
 Occupancy follows the plan steps: a step pair (u, t_a) -> (v, t_b) occupies u
 at t_a, the edge during the open span (t_a, t_b), and v at t_b; after its last
@@ -233,12 +232,7 @@ class _Ctx:
         self.deadline = deadline
         self.stats = SearchStats()
         self.memo: dict[tuple[int, Binding], TimedPlan | None] = {}
-        # goal distances depend only on the graph, so every solve on it shares them
-        known = graph.goal_dist
-        for g in goals:
-            if g not in known:
-                known[g] = tuple(dijkstra(graph, g))
-        self.dist = [known[g] for g in goals]
+        self.dist = [dijkstra(graph, g) for g in goals]
         if config.horizon is not None:
             self.horizon = config.horizon
         else:

@@ -139,11 +139,6 @@ class IntGraph(_BaseGraph):
         if not (isinstance(w, int) and w >= 1):
             raise ValueError(f"edge ({u},{v}) weight {w!r} is not an integer >= 1")
 
-    @cached_property
-    def goal_dist(self) -> dict[int, tuple[int | float, ...]]:
-        """dijkstra(self, goal) as a tuple per goal asked for so far; cbs.solve fills it."""
-        return {}
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -328,9 +323,7 @@ def dijkstra(graph: _BaseGraph, source: int) -> list[float]:
     One scipy.sparse.csgraph.dijkstra run over graph.csr.  Each distance is
     the minimum over the same dist[u] + w sums a textbook Dijkstra forms, so a
     RealGraph gets those floats exactly.  An IntGraph gets Python ints, exact
-    while every distance stays below 2**53 (ValueError past that).  cbs.solve
-    calls this once per (IntGraph, goal) and keeps the result in
-    IntGraph.goal_dist.
+    while every distance stays below 2**53 (ValueError past that).
     """
     if not (0 <= source < graph.n):
         raise ValueError(f"source {source} out of range for {graph.n} vertices")

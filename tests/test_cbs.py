@@ -442,35 +442,6 @@ def test_each_binding_constraint_set_is_planned_once(monkeypatch):
     assert reused_somewhere
 
 
-def test_goal_distances_are_shared_by_solves_on_one_graph(monkeypatch):
-    # Goal distances depend only on the graph, so a second solve on the same
-    # IntGraph runs dijkstra only for the goals the first did not ask for,
-    # and finds what a solve on a fresh copy of the graph finds.
-    asked = []
-    original = cbs.dijkstra
-
-    def counted(graph, source):
-        asked.append(source)
-        return original(graph, source)
-
-    monkeypatch.setattr(cbs, "dijkstra", counted)
-    g = _random_int_graph(random.Random(3), 8, max_w=2, p=0.3)
-    cfg = SolveConfig(timeout=10.0)
-    assert isinstance(solve(Instance(g, (0, 1, 2), (5, 6, 7)), cfg), Solution)
-    assert asked == [5, 6, 7]
-    asked.clear()
-    second = Instance(g, (0, 1, 2, 3), (6, 7, 4, 5))
-    shared = solve(second, cfg)
-    assert asked == [4]
-    asked.clear()
-    fresh = solve(Instance(IntGraph(g.vertices, g.edges), second.starts, second.goals), cfg)
-    assert asked == [6, 7, 4, 5]
-    assert isinstance(shared, Solution) and isinstance(fresh, Solution)
-    assert shared.plans == fresh.plans
-    shared.stats.wall_time = fresh.stats.wall_time = 0.0
-    assert shared.stats == fresh.stats
-
-
 def test_solve_is_deterministic():
     rng = random.Random(7)
     g = _random_int_graph(rng, 6, max_w=2, p=0.5)

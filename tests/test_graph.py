@@ -319,14 +319,22 @@ def _random_graph(rng, n, p=0.45, max_w=4.0):
 
 
 def test_dijkstra_matches_bellman_ford():
+    # each distance is the least dist[u] + w sum, as in the textbook relaxation,
+    # so even real weights agree exactly; an IntGraph gets ints, and math.inf
+    # for vertices outside the source's component
     rng = np.random.default_rng(24)
-    for _ in range(30):
-        g = _random_graph(rng, int(rng.integers(2, 9)))
+    int_infs = 0
+    for trial in range(60):
+        g = _random_graph(rng, int(rng.integers(1, 9)), p=float(rng.choice([0.0, 0.2, 0.45])))
+        if trial % 2:
+            g = IntGraph(g.vertices, [(u, v, int(rng.integers(1, 10))) for u, v, _ in g.edges])
         src = int(rng.integers(0, g.n))
-        want = oracles.bellman_ford(g.n, g.edges, src)
         got = dijkstra(g, src)
-        for a, b in zip(got, want):
-            assert a == pytest.approx(b) or (math.isinf(a) and math.isinf(b))
+        assert got == oracles.bellman_ford(g.n, g.edges, src)
+        if isinstance(g, IntGraph):
+            assert all(type(d) is int or d == math.inf for d in got)
+            int_infs += got.count(math.inf)
+    assert int_infs > 0
 
 
 def test_shortest_path_is_a_valid_optimal_path():
@@ -349,19 +357,6 @@ def test_shortest_path_ties_break_toward_smaller_predecessor():
     g = IntGraph([Vertex(i, (float(i), 0.0)) for i in range(4)], [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
     assert shortest_path(g, 0, 3) == [0, 1, 3]
     assert shortest_path(g, 3, 0) == [3, 1, 0]
-
-
-def test_dijkstra_on_int_graphs_gives_ints_and_inf():
-    # 0-1-2 is one component and 3-4 another; vertex 5 has no edges
-    g = IntGraph(_line_vertices(6), [(0, 1, 2), (1, 2, 3), (0, 2, 7), (3, 4, 1)])
-    dist = dijkstra(g, 0)
-    assert dist == [0, 2, 5, math.inf, math.inf, math.inf]
-    assert [type(d) for d in dist[:3]] == [int, int, int]
-    assert dijkstra(g, 4) == [math.inf, math.inf, math.inf, 1, 0, math.inf]
-    assert dijkstra(g, 5) == [math.inf] * 5 + [0]
-    bare = IntGraph(_line_vertices(3), [])
-    assert dijkstra(bare, 1) == [math.inf, 0, math.inf]
-    assert type(dijkstra(IntGraph(_line_vertices(1), []), 0)[0]) is int
 
 
 def test_dijkstra_refuses_int_distances_past_float64():

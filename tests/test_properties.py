@@ -4,12 +4,10 @@ Examples are derived deterministically (derandomize=True), so a run is
 reproducible; graphs stay small enough for the oracles' exhaustive searches.
 """
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intmapf import ConstraintSet, IntGraph, Instance, RealGraph, Solution, SolveConfig, Vertex, dijkstra, sipp_plan, solve
+from intmapf import ConstraintSet, IntGraph, Instance, Solution, SolveConfig, Vertex, sipp_plan, solve
 from intmapf.cbs import validate_solution
 from intmapf.sipp import binding_constraints
 
@@ -39,32 +37,6 @@ def _edge_bans(draw, g, agents, max_size):
     directed = [(u, v) for u, v, _ in g.edges] + [(v, u) for u, v, _ in g.edges]
     spans = st.tuples(st.integers(0, 9), st.integers(1, 4)).map(lambda p: (p[0], p[0] + p[1]))
     return draw(st.lists(st.tuples(agents, st.sampled_from(directed), spans), max_size=max_size))
-
-
-@st.composite
-def weighted_graphs(draw):
-    """Any edge subset of up to 7 vertices, so often disconnected, with int or real weights."""
-    n = draw(st.integers(1, 7))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
-    if draw(st.booleans()):
-        cls, weights = IntGraph, st.integers(1, 9)
-    else:
-        cls, weights = RealGraph, st.floats(0.1, 10.0)
-    edges = [(u, v, draw(weights)) for u, v in chosen]
-    return cls([Vertex(i, (float(i), 0.0)) for i in range(n)], edges)
-
-
-@PROPERTY
-@given(weighted_graphs(), st.data())
-def test_dijkstra_equals_textbook_shortest_paths(g, data):
-    # each distance is the least dist[u] + w sum, as in the textbook relaxation,
-    # so even real weights agree exactly; integer graphs get ints and math.inf
-    source = data.draw(st.integers(0, g.n - 1))
-    got = dijkstra(g, source)
-    assert got == oracles.bellman_ford(g.n, g.edges, source)
-    if isinstance(g, IntGraph):
-        assert all(type(d) is int or d == math.inf for d in got)
 
 
 @st.composite
