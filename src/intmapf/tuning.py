@@ -2,12 +2,14 @@
 
 The loop treats the solver as a black box T(s): discretize the real graph at
 scale s, solve, measure wall time.  A Gaussian-process surrogate is fit to
-log(runtime + 1e-3) with inputs normalized to [0, 1] and targets standardized;
-a lower confidence bound built from the surrogate trades off against the
-discretization error C(s) of the incumbent plans in a small NSGA-II run, and
-the front member with the best normalized combined score becomes the next
-true evaluation.  Timed-out evaluations are charged the full timeout as their
-runtime, so the surrogate learns to avoid them.
+log(runtime + 1e-3) with inputs normalized to [0, 1] and targets standardized,
+its hyperparameters set by L-BFGS-B on the marginal likelihood with the
+analytic gradient (Rasmussen & Williams 2006, eq. 5.9).  A lower confidence
+bound built from the surrogate trades off against the discretization error
+C(s) of the incumbent plans in a small NSGA-II run, and the front member with
+the best normalized combined score becomes the next true evaluation.
+Timed-out evaluations are charged the full timeout as their runtime, so the
+surrogate learns to avoid them.
 
 The loop itself is solver-agnostic: it takes an eval function mapping s to
 (runtime, success, paths) and an error function mapping (s, paths) to C(s),
@@ -118,17 +120,38 @@ def _gram(d2: np.ndarray, ell: float, sf2: float, sn2: float) -> np.ndarray:
     return K
 
 
-def _nll(log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, fixed_sn2: float | None) -> float:
+def _nll(
+    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, fixed_sn2: float | None
+) -> tuple[float, np.ndarray]:
+    """Negative log marginal likelihood and its gradient in the log parameters.
+
+    The gradient is 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta) (Rasmussen &
+    Williams 2006, eq. 5.9) over log ell, log sf2 and, unless fixed_sn2 pins
+    the noise, log sn2.  A kernel matrix that is not positive definite gives
+    (1e25, zeros).
+    """
     # dpotrf/dpotrs are the LAPACK calls behind cho_factor/cho_solve, minus
     # their per-call input checks; L-BFGS calls this thousands of times per tune.
     ell, sf2 = math.exp(log_params[0]), math.exp(log_params[1])
     sn2 = fixed_sn2 if fixed_sn2 is not None else math.exp(log_params[2])
     n = len(y)
-    c, info = dpotrf(_gram(d2, ell, sf2, sn2), lower=1, clean=0, overwrite_a=1)
+    K = _gram(d2, ell, sf2, sn2)
+    c, info = dpotrf(K, lower=1, clean=0)
     if info != 0:
-        return 1e25
+        return 1e25, np.zeros(len(log_params))
     alpha, _ = dpotrs(c, y, lower=1)
-    return float(0.5 * y @ alpha + np.sum(np.log(np.diag(c))) + 0.5 * n * math.log(2 * math.pi))
+    value = float(0.5 * y @ alpha + np.sum(np.log(np.diag(c))) + 0.5 * n * math.log(2 * math.pi))
+    K_inv, _ = dpotrs(c, np.eye(n), lower=1)
+    W = K_inv - np.outer(alpha, alpha)
+    WK = W * K  # K off the diagonal is the noise-free kernel Kf, and d2's diagonal is zero
+    tr_W = float(np.trace(W))
+    grad = [
+        0.5 * float(np.sum(WK * d2)) / (ell * ell),  # dK/dlog ell = Kf * d2 / ell^2
+        0.5 * (float(np.sum(WK)) - max(sn2, _MIN_JITTER) * tr_W),  # dK/dlog sf2 = Kf
+    ]
+    if fixed_sn2 is None:
+        grad.append(0.5 * sn2 * tr_W)  # dK/dlog sn2 = sn2 I
+    return value, np.array(grad)
 
 
 def fit_surrogate(
@@ -141,14 +164,17 @@ def fit_surrogate(
 ) -> SurrogatePosterior:
     """Fit the GP to the observations by marginal-likelihood maximization.
 
-    Needs at least 2 observations.  Hyperparameters (length scale, signal
-    variance, and noise variance unless noise_variance pins it) are optimized
-    by multi-start L-BFGS-B with seeded restart draws, so a fixed seed yields
-    a fixed posterior.  Failed evaluations participate with their penalty
-    runtime.
+    Needs at least 2 observations and restarts >= 1.  Hyperparameters (length
+    scale, signal variance, and noise variance unless noise_variance pins it)
+    are optimized in log space by multi-start L-BFGS-B on the analytic
+    likelihood gradient (see _nll), with seeded restart draws, so a fixed
+    seed yields a fixed posterior.  Failed evaluations participate with their
+    penalty runtime.
     """
     if len(observations) < 2:
         raise ValueError(f"surrogate needs >= 2 observations, got {len(observations)}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     xs = np.array([o.s for o in observations], dtype=float)
     y_raw = np.log(np.array([o.runtime for o in observations], dtype=float) + _LOG_SHIFT)
     x_lo, x_hi = bounds if bounds is not None else (float(xs.min()), float(xs.max()))
@@ -172,7 +198,7 @@ def fit_surrogate(
     rng = np.random.default_rng(seed)
     best_params: np.ndarray | None = None
     best_val = math.inf
-    for r in range(max(1, restarts)):
+    for r in range(restarts):
         if r == 0:
             p0 = np.array(start0)
         else:
@@ -181,6 +207,7 @@ def fit_surrogate(
             _nll,
             p0,
             args=(d2, y, noise_variance),
+            jac=True,
             method="L-BFGS-B",
             bounds=log_bounds,
         )
@@ -258,6 +285,8 @@ class TuneConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.eval_timeout is not None and not self.eval_timeout > 0:
             raise ValueError(f"eval_timeout must be None or > 0, got {self.eval_timeout}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -269,6 +298,10 @@ class IterationRecord:
     success: bool
     lcb: float | None  # None for bootstrap evaluations
     score: float | None
+    # the fitted hyperparameters of the surrogate behind this pick; None for bootstrap evaluations
+    ell: float | None
+    sf2: float | None
+    sn2: float | None
 
 
 @dataclass(frozen=True)
@@ -310,7 +343,7 @@ def tune(
     def c_of(s: float) -> float:
         return error_fn(float(s), incumbent) if incumbent is not None else 0.0
 
-    def observe(s: float, lcb_v: float | None, score_v: float | None) -> None:
+    def observe(s: float, lcb_v: float | None, score_v: float | None, post: SurrogatePosterior | None = None) -> None:
         nonlocal incumbent
         runtime, success, paths = eval_fn(float(s))
         if success and paths is not None:
@@ -318,7 +351,8 @@ def tune(
         err = c_of(s)
         o = Observation(float(s), float(runtime), bool(success), float(err))
         obs.append(o)
-        records.append(IterationRecord(len(obs), o.s, o.runtime, o.error, o.success, lcb_v, score_v))
+        fitted = (post.ell, post.sf2, post.sn2) if post is not None else (None, None, None)
+        records.append(IterationRecord(len(obs), o.s, o.runtime, o.error, o.success, lcb_v, score_v, *fitted))
 
     lo, hi = config.s_min, config.s_max
     if lo == hi:
@@ -340,7 +374,7 @@ def tune(
         front_x, front_f = nsga2_evolve(pop0, objective, (lo, hi), config.generations, rng)
         scores = score_candidates(post, front_x, t_next, config.delta, front_f[:, 1])
         pick = int(np.argmin(scores))
-        observe(float(front_x[pick]), float(front_f[pick, 0]), float(scores[pick]))
+        observe(float(front_x[pick]), float(front_f[pick, 0]), float(scores[pick]), post)
     return _wrap_up(obs, records)
 
 

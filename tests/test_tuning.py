@@ -3,8 +3,10 @@
 The posterior is checked against a direct linear-algebra computation at the
 fitted hyperparameters, plus analytic facts that need no reference: a
 two-point fit is antisymmetric about the midpoint, near-noiseless fits
-interpolate, and uncertainty grows away from the data.  The loop runs on
-synthetic objectives with a known optimum.
+interpolate, and uncertainty grows away from the data.  The likelihood's
+analytic gradient is checked against central differences, and the fit's
+optimum against a finite-difference L-BFGS-B run from the same starts.  The
+loop runs on synthetic objectives with a known optimum.
 """
 
 import math
@@ -13,6 +15,7 @@ import random
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
 
 from intmapf import Observation, TuneConfig, TuneResult, tune, tune_graph
 from intmapf.graph import RealGraph, Vertex, discretization_error
@@ -117,13 +120,89 @@ def test_nll_equals_cho_factor_reference():
         fixed = None if trial % 2 else float(math.exp(rng.uniform(-20.0, 0.0)))
         if fixed is not None:
             log_params = log_params[:2]
-        assert _nll(log_params, d2, y, fixed) == _nll_reference(log_params, d2, y, fixed)
+        assert _nll(log_params, d2, y, fixed)[0] == _nll_reference(log_params, d2, y, fixed)
     # off-diagonal weights above the diagonal's make K indefinite
     d2 = np.array([[0.0, -10.0], [-10.0, 0.0]])
     y = np.array([0.5, -0.5])
     assert _nll_reference(np.zeros(3), d2, y, None) == 1e25
-    assert _nll(np.zeros(3), d2, y, None) == 1e25
-    assert _nll(np.zeros(2), d2, y, 0.01) == 1e25
+    assert _nll(np.zeros(3), d2, y, None)[0] == 1e25
+    assert _nll(np.zeros(2), d2, y, 0.01)[0] == 1e25
+
+
+def test_nll_gradient_matches_central_differences():
+    rng = np.random.default_rng(7)
+    h = 1e-5
+    for trial in range(300):
+        n = int(rng.integers(2, 26))
+        x = rng.random(n)
+        x[-1] = x[0]
+        d2 = (x[:, None] - x[None, :]) ** 2
+        y = rng.normal(size=n)
+        # noise of at least 1e-2 keeps K well conditioned; closer to singular,
+        # the differences lose more digits than the closed form does
+        log_params = np.array([rng.uniform(-4.6, 2.3), rng.uniform(-9.2, 4.6), rng.uniform(-4.6, 2.3)])
+        fixed = None if trial % 2 else float(math.exp(log_params[2]))
+        if fixed is not None:
+            log_params = log_params[:2]
+        grad = _nll(log_params, d2, y, fixed)[1]
+        assert grad.shape == log_params.shape
+        fd = np.array(
+            [
+                (_nll(log_params + h * e, d2, y, fixed)[0] - _nll(log_params - h * e, d2, y, fixed)[0]) / (2 * h)
+                for e in np.eye(len(log_params))
+            ]
+        )
+        assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(grad).max()), (trial, grad, fd)
+    d2 = np.array([[0.0, -10.0], [-10.0, 0.0]])  # K indefinite, as above
+    y = np.array([0.5, -0.5])
+    for log_params, fixed in ((np.zeros(3), None), (np.zeros(2), 0.01)):
+        value, grad = _nll(log_params, d2, y, fixed)
+        assert value == 1e25
+        assert grad.tolist() == [0.0] * len(log_params)
+
+
+def _fd_fit_nll(obs, bounds, noise_variance, restarts, seed):
+    """Best NLL of a finite-difference L-BFGS-B fit with fit_surrogate's inputs, starts and bounds."""
+    xs = np.array([o.s for o in obs])
+    y_raw = np.log(np.array([o.runtime for o in obs]) + 1e-3)
+    x_norm = (xs - bounds[0]) / (bounds[1] - bounds[0])
+    y = (y_raw - y_raw.mean()) / (y_raw.std() or 1.0)
+    d2 = (x_norm[:, None] - x_norm[None, :]) ** 2
+    log_bounds = [(math.log(1e-2), math.log(10.0)), (math.log(1e-4), math.log(1e2))]
+    start0 = [math.log(0.3), math.log(1.0)]
+    if noise_variance is None:
+        log_bounds.append((math.log(1e-8), math.log(10.0)))
+        start0.append(math.log(1e-2))
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for r in range(restarts):
+        p0 = np.array(start0) if r == 0 else np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
+        res = minimize(lambda p: _nll(p, d2, y, noise_variance)[0], p0, method="L-BFGS-B", bounds=log_bounds)
+        best = min(best, float(res.fun))
+    return best, d2, y
+
+
+def test_fit_reaches_the_finite_difference_optimum():
+    rng = np.random.default_rng(11)
+    bounds = (0.1, 1.0)
+    for trial in range(60):
+        n = int(rng.integers(3, 26))
+        s = rng.uniform(*bounds, size=n)
+        s[rng.random(n) < 0.3] = s[0]  # repeated scales, as the tuner produces
+        if trial % 3 == 0:
+            runtimes = rng.integers(5, 40, size=n).astype(float)  # counts, like low_level_calls
+        else:
+            runtimes = rng.lognormal(-3.0, 1.0, size=n)
+        noise = None if trial % 2 else 1e-4
+        obs = [Observation(float(a), float(b), True, 0.0) for a, b in zip(s, runtimes)]
+        post = fit_surrogate(obs, bounds=bounds, noise_variance=noise, restarts=8, seed=trial)
+        ref, d2, y = _fd_fit_nll(obs, bounds, noise, 8, trial)
+        log_params = [math.log(post.ell), math.log(post.sf2)] + ([math.log(post.sn2)] if noise is None else [])
+        got = _nll(np.array(log_params), d2, y, noise)[0]
+        # L-BFGS-B stops once a step gains less than 2.2e-9 of the value, so
+        # where the NLL runs to tens of thousands (small pinned noise under
+        # repeated scales) either fit may stop a few 1e-6 short of the other
+        assert got <= ref + 1e-6 + 1e-8 * abs(ref), (trial, got, ref)
 
 
 def test_surrogate_needs_two_observations():
@@ -304,6 +383,19 @@ def test_tune_records_and_bootstrap_shape():
     assert all(r.score is not None for r in out.records[3:])
 
 
+def test_records_carry_the_fitted_hyperparameters():
+    cfg = TuneConfig(s_min=0.05, s_max=1.0, budget=7, population=8, generations=4, restarts=3)
+    seed = 4
+    out = tune(_parabola_eval, _zero_error, cfg, seed=seed)
+    for r in out.records[:3]:
+        assert (r.ell, r.sf2, r.sn2) == (None, None, None)
+    for r in out.records[3:]:
+        post = fit_surrogate(
+            out.observations[: r.t - 1], bounds=(cfg.s_min, cfg.s_max), restarts=cfg.restarts, seed=seed * 100003 + r.t
+        )
+        assert (r.ell, r.sf2, r.sn2) == (post.ell, post.sf2, post.sn2)
+
+
 def test_tune_is_deterministic_per_seed():
     cfg = TuneConfig(s_min=0.05, s_max=1.0, budget=8, population=8, generations=5)
     a = tune(_parabola_eval, _zero_error, cfg, seed=9)
@@ -364,6 +456,11 @@ def test_tune_config_validation():
         TuneConfig(s_min=0.1, s_max=1.0, delta=1.5)
     with pytest.raises(ValueError, match="eval_timeout"):
         TuneConfig(s_min=0.1, s_max=1.0, eval_timeout=-1.0)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            TuneConfig(s_min=0.1, s_max=1.0, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            fit_surrogate(_obs([(0.2, 1.0), (0.8, 3.0)]), restarts=restarts)
 
 
 # ---------------------------------------------------------------- on a graph
