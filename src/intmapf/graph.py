@@ -293,28 +293,41 @@ def discretize(g: RealGraph, s: float) -> IntGraph:
     return IntGraph(g.vertices, edges)
 
 
-def discretization_error(g: RealGraph, s: float, paths: Iterable[Sequence[int]]) -> float:
+def discretization_error(g: RealGraph, s, paths: Iterable[Sequence[int]]):
     """Total rounding distortion of a discretization over a set of paths.
 
     For every consecutive traversal (u, v) in every path, accumulates
     |w - round(w / s) * s| with the unclamped round, where w is the real
     weight.  Repeated traversals of an edge count once per traversal.  Raises
     if a path uses a pair with no edge.
+
+    s is one scale (the result is a float) or an array of scales (the result
+    is an array of the same shape, one total per scale).  Each total is summed
+    over the traversals in path order, starting from 0.0, so it is bit for bit
+    the total of a scalar loop over the traversals at that scale.
     """
-    if not (s > 0 and math.isfinite(s)):
+    scales = np.asarray(s, dtype=float)
+    if not np.all((scales > 0) & np.isfinite(scales)):
         raise ValueError(f"scale s must be a positive finite real, got {s!r}")
     weight = g._weight
-    total = 0.0
+    ws = []
     for path in paths:
         for u, v in zip(path, path[1:]):
             if u == v:
                 continue
             try:
-                w = weight[(u, v) if u < v else (v, u)]
+                ws.append(weight[(u, v) if u < v else (v, u)])
             except KeyError:
                 raise ValueError(f"no edge between {u} and {v}") from None
-            total += abs(w - math.floor(w / s + 0.5) * s)  # round_half_away, inlined: w / s > 0
-    return total
+    if not ws:
+        return 0.0 if scales.ndim == 0 else np.zeros(scales.shape)
+    S = scales.reshape(1, -1)
+    W = np.array(ws, dtype=float).reshape(-1, 1)
+    # floor(W / S + 0.5) is round_half_away for W / S > 0.  accumulate adds the
+    # rows strictly in path order, as the scalar loop does; np.sum promises no
+    # order (along a contiguous axis it sums pairwise, which moves the last bits).
+    totals = np.add.accumulate(np.abs(W - np.floor(W / S + 0.5) * S), axis=0)[-1]
+    return float(totals[0]) if scales.ndim == 0 else totals.reshape(scales.shape)
 
 
 def dijkstra(graph: _BaseGraph, source: int) -> list[float]:

@@ -12,8 +12,10 @@ Timed-out evaluations are charged the full timeout as their runtime, so the
 surrogate learns to avoid them.
 
 The loop itself is solver-agnostic: it takes an eval function mapping s to
-(runtime, success, paths) and an error function mapping (s, paths) to C(s),
-which keeps it testable against synthetic objectives.
+(runtime, success, paths) and an error function mapping (scales, paths) to
+C at each scale, which keeps it testable against synthetic objectives.  The
+error function gets a whole NSGA-II population in one call, and each true
+evaluation as a 1-element array; graph.discretization_error fits as it is.
 """
 
 from __future__ import annotations
@@ -315,7 +317,8 @@ class TuneResult:
 
 
 EvalFn = Callable[[float], tuple[float, bool, list[list[int]] | None]]
-ErrorFn = Callable[[float, list[list[int]]], float]
+# (1-D array of scales, incumbent paths) -> C at each scale; a scalar is broadcast
+ErrorFn = Callable[[np.ndarray, list[list[int]]], np.ndarray | float]
 
 
 def tune(
@@ -329,26 +332,32 @@ def tune(
     """Run the surrogate-guided loop for config.budget true evaluations.
 
     eval_fn(s) returns (runtime, success, paths or None); successful paths
-    become the incumbent used by error_fn(s, paths) for the error objective.
-    Bootstrap evaluations cover s_min, s_max, and their geometric mean; after
-    that every pick comes from an NSGA-II front over (lcb, error) scored by
-    score_candidates.  Identical seeds and a deterministic eval_fn give an
-    identical observation sequence.
+    become the incumbent used by error_fn(scales, paths) for the error
+    objective.  error_fn maps a 1-D array of scales to an array of errors of
+    the same shape: it is called once per NSGA-II objective batch with the
+    whole population, and once per true evaluation with a 1-element array.  A
+    scalar return counts for every scale.  Before any incumbent exists the
+    error is 0.  Bootstrap evaluations cover s_min, s_max, and their geometric
+    mean; after that every pick comes from an NSGA-II front over (lcb, error)
+    scored by score_candidates.  Identical seeds and a deterministic eval_fn
+    give an identical observation sequence.
     """
     rng = np.random.default_rng(seed)
     incumbent = initial_paths
     obs: list[Observation] = []
     records: list[IterationRecord] = []
 
-    def c_of(s: float) -> float:
-        return error_fn(float(s), incumbent) if incumbent is not None else 0.0
+    def c_of(scales: np.ndarray) -> np.ndarray:
+        if incumbent is None:
+            return np.zeros(scales.shape)
+        return np.broadcast_to(np.asarray(error_fn(scales, incumbent), dtype=float), scales.shape)
 
     def observe(s: float, lcb_v: float | None, score_v: float | None, post: SurrogatePosterior | None = None) -> None:
         nonlocal incumbent
         runtime, success, paths = eval_fn(float(s))
         if success and paths is not None:
             incumbent = paths
-        err = c_of(s)
+        err = c_of(np.array([float(s)]))[0]
         o = Observation(float(s), float(runtime), bool(success), float(err))
         obs.append(o)
         fitted = (post.ell, post.sf2, post.sn2) if post is not None else (None, None, None)
@@ -368,7 +377,7 @@ def tune(
 
         def objective(xs: np.ndarray) -> np.ndarray:
             a = np.atleast_1d(np.asarray(lcb(post, xs, t_next, config.delta), dtype=float))
-            c = np.array([c_of(float(s)) for s in xs])
+            c = c_of(xs)
             return np.column_stack([a, c])
 
         front_x, front_f = nsga2_evolve(pop0, objective, (lo, hi), config.generations, rng)
@@ -443,8 +452,8 @@ def tune_graph(
             rt = config.eval_timeout
         return rt, False, None
 
-    def error_fn(s: float, paths: list[list[int]]) -> float:
-        return discretization_error(g, s, paths)
+    def error_fn(scales: np.ndarray, paths: list[list[int]]) -> np.ndarray:
+        return discretization_error(g, scales, paths)
 
     initial = []
     for a in range(instance.n_agents):
@@ -455,20 +464,18 @@ def tune_graph(
 
 
 def format_tune_report(result: TuneResult) -> str:
-    """CSV report, one row per true evaluation."""
-    lines = ["t,s,runtime_s,error,success,lcb,score"]
+    """CSV report, one row per true evaluation.
+
+    lcb, score and the surrogate's fitted ell, sf2 and sn2 are empty on
+    bootstrap rows.
+    """
+    lines = ["t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2"]
     for r in result.records:
+        picked = [r.lcb, r.score, r.ell, r.sf2, r.sn2]
         lines.append(
             ",".join(
-                [
-                    str(r.t),
-                    repr(r.s),
-                    repr(r.runtime),
-                    repr(r.error),
-                    "true" if r.success else "false",
-                    "" if r.lcb is None else repr(r.lcb),
-                    "" if r.score is None else repr(r.score),
-                ]
+                [str(r.t), repr(r.s), repr(r.runtime), repr(r.error), "true" if r.success else "false"]
+                + ["" if v is None else repr(v) for v in picked]
             )
         )
     return "\n".join(lines) + "\n"

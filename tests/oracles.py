@@ -110,6 +110,17 @@ def bellman_ford(n: int, edges, source: int) -> list[float]:
     return dist
 
 
+def discretization_error_loop(g, s: float, paths) -> float:
+    """C(s) one traversal at a time: |w - round_half_away(w / s) * s| added in path order."""
+    total = 0.0
+    for path in paths:
+        for u, v in zip(path, path[1:]):
+            if u != v:
+                w = g.weight(u, v)
+                total += abs(w - math.floor(w / s + 0.5) * s)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # constraint semantics, re-derived: replay and time-expanded optimum
 

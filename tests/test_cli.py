@@ -221,7 +221,7 @@ def test_tune_reports_and_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0] == "t,s,runtime_s,error,success,lcb,score"
+    assert lines[0] == "t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2"
     assert len([l for l in lines if l and l[0].isdigit()]) == 4
     assert any(l.startswith("best_s=") for l in lines)
 
@@ -245,7 +245,7 @@ def test_tune_out_file(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert report.read_text().startswith("t,s,runtime_s,error,success,lcb,score\n")
+    assert report.read_text().startswith("t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2\n")
 
 
 # ---------------------------------------------------------------- bench

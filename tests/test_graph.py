@@ -246,16 +246,21 @@ def test_discretization_error_is_unclamped_and_per_traversal():
     assert discretization_error(g, 1.0, [[0, 0, 1, 1]]) == pytest.approx(0.2)
 
 
-def test_discretization_error_matches_reference_loop():
-    def reference(g, s, paths):
-        total = 0.0
-        for path in paths:
-            for u, v in zip(path, path[1:]):
-                if u != v:
-                    w = g.weight(u, v)
-                    total += abs(w - round_half_away(w / s) * s)
-        return total
+def _random_walks(rng, g, count, steps):
+    """Walks that wait in place (u == v) about one step in five."""
+    walks = []
+    for _ in range(count):
+        walk = [int(rng.integers(g.n))]
+        for _ in range(steps):
+            nbrs = g.adjacency[walk[-1]]
+            stay = not nbrs or rng.random() < 0.2
+            walk.append(walk[-1] if stay else nbrs[int(rng.integers(len(nbrs)))][0])
+        walks.append(walk)
+    return walks
 
+
+def test_discretization_error_matches_reference_loop():
+    reference = oracles.discretization_error_loop
     rng = np.random.default_rng(31)
     for trial in range(60):
         n = 9
@@ -267,14 +272,7 @@ def test_discretization_error_matches_reference_loop():
             if rng.random() < 0.5
         ]
         g = RealGraph(_line_vertices(n), edges)
-        paths = []
-        for _ in range(4):
-            path = [int(rng.integers(n))]
-            for _ in range(12):
-                nbrs = g.adjacency[path[-1]]
-                stay = not nbrs or rng.random() < 0.2
-                path.append(path[-1] if stay else nbrs[int(rng.integers(len(nbrs)))][0])
-            paths.append(path)
+        paths = _random_walks(rng, g, 4, 12)
         scales = (0.5, 1.0, 0.25, 2.0) if quarters else (float(rng.uniform(0.05, 2.0)),)
         for s in scales:
             assert discretization_error(g, s, paths) == reference(g, s, paths)
@@ -286,6 +284,58 @@ def test_discretization_error_rejects_unknown_edge():
     g = RealGraph(_line_vertices(3), [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         discretization_error(g, 1.0, [[0, 2]])
+
+
+def test_discretization_error_batch_equals_scalar_loop():
+    # one call over an array of scales gives, element by element, the very
+    # float the traversal-by-traversal loop adds up at that scale
+    rng = np.random.default_rng(47)
+    for trial in range(40):
+        n = int(rng.integers(6, 14))
+        pts = rng.uniform(0.0, 5.0, size=(n, 2))
+        quarters = trial % 4 == 0  # weights and scales that put w / s exactly on k + 0.5
+        edges = [
+            (u, v, float(rng.integers(1, 13)) * 0.25 if quarters else math.dist(pts[u], pts[v]))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.4
+        ]
+        g = RealGraph([Vertex(i, (float(x), float(y))) for i, (x, y) in enumerate(pts.tolist())], edges)
+        paths = _random_walks(rng, g, int(rng.integers(1, 8)), int(rng.integers(1, 30)))
+        paths += [paths[0], paths[-1][::-1]]  # a repeated path and a reversed one
+        scales = [0.1, 1.0] + rng.uniform(0.05, 2.0, size=int(rng.integers(0, 30))).tolist()
+        if quarters:
+            scales += [0.25, 0.5, 2.0]
+        scales = rng.permutation(scales)
+
+        got = discretization_error(g, scales, paths)
+        assert isinstance(got, np.ndarray) and got.shape == scales.shape
+        want = [oracles.discretization_error_loop(g, float(s), paths) for s in scales]
+        assert got.tolist() == want
+        assert [discretization_error(g, float(s), paths) for s in scales] == want
+        assert np.array_equal(discretization_error(g, scales.reshape(1, -1), paths), got.reshape(1, -1))
+
+
+def test_discretization_error_scalar_empty_and_invalid_scales():
+    g = RealGraph(_line_vertices(3), [(0, 1, 1.5), (1, 2, 2.5)])
+    for s in (1.0, 1, np.float64(1.0), np.array(1.0)):
+        out = discretization_error(g, s, [[0, 1, 2, 1]])
+        assert type(out) is float and out == 1.5
+    one = discretization_error(g, np.array([1.0]), [[0, 1, 2, 1]])
+    assert isinstance(one, np.ndarray) and one.tolist() == [1.5]
+    scales = np.array([0.1, 1.0, 0.3])
+    for paths in ([], [[1]], [[2, 2, 2]]):
+        out = discretization_error(g, scales, paths)
+        assert isinstance(out, np.ndarray) and out.shape == (3,) and out.tolist() == [0.0, 0.0, 0.0]
+        out = discretization_error(g, 0.5, paths)
+        assert type(out) is float and out == 0.0
+    for bad in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive finite"):
+            discretization_error(g, np.array([0.5, bad, 1.0]), [[0, 1]])
+        with pytest.raises(ValueError, match="positive finite"):
+            discretization_error(g, bad, [[0, 1]])
+    with pytest.raises(ValueError, match="no edge between 0 and 2"):
+        discretization_error(g, scales, [[0, 1], [0, 2]])
 
 
 def test_discretized_costs_scale_back_to_real_costs():

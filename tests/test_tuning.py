@@ -6,11 +6,13 @@ two-point fit is antisymmetric about the midpoint, near-noiseless fits
 interpolate, and uncertainty grows away from the data.  The likelihood's
 analytic gradient is checked against central differences, and the fit's
 optimum against a finite-difference L-BFGS-B run from the same starts.  The
-loop runs on synthetic objectives with a known optimum.
+loop runs on synthetic objectives with a known optimum, and on a small
+roadmap, where scoring a population's error in one call must keep every pick.
 """
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from intmapf.tuning import (
     score_candidates,
 )
 
+import oracles
 from oracles import gp_direct, pareto_fronts_peel
 
 # frozen by hand: 2 log(2^2.5 pi^2 / 0.3) and the bound mu=1, sigma=0.5 gives
@@ -484,6 +487,53 @@ def test_tune_graph_on_a_tiny_instance():
     assert first.error == pytest.approx(discretization_error(g, first.s, [[0, 1, 2]]))
 
 
+def _small_roadmap(seed, n=16, k=2):
+    """Random points in a 10 x 10 square, joined in a chain and to their k nearest neighbours."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 10.0, size=(n, 2)).tolist()
+    pairs = {(min(u, v), max(u, v)) for u, v in zip(range(n), range(1, n))}
+    for u in range(n):
+        near = sorted(range(n), key=lambda v: math.dist(pts[u], pts[v]))[1 : k + 1]
+        pairs |= {(min(u, v), max(u, v)) for v in near}
+    verts = [Vertex(i, (x, y)) for i, (x, y) in enumerate(pts)]
+    return RealGraph(verts, [(u, v, math.dist(pts[u], pts[v])) for u, v in sorted(pairs)])
+
+
+def test_batched_error_keeps_every_pick():
+    # tune scores a whole population per error_fn call; feeding it the same
+    # errors one scale at a time must give the same observations and records
+    from intmapf import Solution, SolveConfig, discretize, shortest_path, solve
+
+    g = _small_roadmap(0)
+    agents = [(2, 7), (11, 5), (3, 14), (10, 12), (0, 6), (4, 9)]
+    inst = Instance(g, tuple(a for a, _ in agents), tuple(b for _, b in agents))
+    initial = [shortest_path(g, a, b) for a, b in agents]
+
+    def eval_fn(s):  # the solve's low-level calls: the same on every run
+        out = solve(replace(inst, graph=discretize(g, s)), SolveConfig())
+        assert isinstance(out, Solution)
+        return out.stats.low_level_calls, True, [p.vertices() for p in out.plans]
+
+    batched_calls = []
+
+    def batched(scales, paths):
+        batched_calls.append(len(scales))
+        return discretization_error(g, scales, paths)
+
+    def one_at_a_time(scales, paths):
+        return np.array([oracles.discretization_error_loop(g, float(s), paths) for s in scales])
+
+    cfg = TuneConfig(s_min=0.1, s_max=1.0, budget=8, population=8, generations=4)
+    a = tune(eval_fn, batched, cfg, seed=2, initial_paths=initial)
+    b = tune(eval_fn, one_at_a_time, cfg, seed=2, initial_paths=initial)
+    assert a.observations == b.observations
+    assert a.records == b.records
+    # neither objective is flat, so both steer the picks
+    assert len({o.runtime for o in a.observations}) > 2 and len({o.error for o in a.observations}) > 2
+    assert len(batched_calls) <= cfg.budget + (cfg.budget - 3) * (cfg.generations + 1)
+    assert set(batched_calls) == {1, cfg.population}
+
+
 def test_tune_graph_rejects_integer_graphs():
     from intmapf import IntGraph
 
@@ -500,11 +550,14 @@ def test_format_tune_report_layout():
     out = tune(_parabola_eval, _zero_error, cfg, seed=0)
     text = format_tune_report(out)
     lines = text.splitlines()
-    assert lines[0] == "t,s,runtime_s,error,success,lcb,score"
+    assert lines[0] == "t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2"
     assert len(lines) == 5
     assert text.endswith("\n")
     row1 = lines[1].split(",")
     assert row1[0] == "1" and row1[4] == "true" and row1[5] == "" and row1[6] == ""
+    assert row1[7:] == ["", "", ""]  # bootstrap rows have no surrogate
     row4 = lines[4].split(",")
-    assert float(row4[1]) == out.records[3].s
-    assert float(row4[6]) == out.records[3].score
+    r4 = out.records[3]
+    assert float(row4[1]) == r4.s
+    assert float(row4[6]) == r4.score
+    assert [float(v) for v in row4[7:]] == [r4.ell, r4.sf2, r4.sn2]
