@@ -188,10 +188,11 @@ def segment_cells(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int
 
     Cells are closed unit squares, so a segment through a cell corner counts
     all four incident cells.  Integer midpoint arithmetic only; endpoints are
-    included.
+    included.  The walk steps along the longer axis; a steep segment is walked
+    with its axes swapped and swapped back.
     """
-    x, y = a
-    x2, y2 = b
+    steep = abs(b[1] - a[1]) > abs(b[0] - a[0])
+    (x, y), (x2, y2) = (a[::-1], b[::-1]) if steep else (a, b)
     cells = [(x, y)]
     dx = x2 - x
     dy = y2 - y
@@ -201,42 +202,24 @@ def segment_cells(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int
     dy = abs(dy)
     ddx = 2 * dx
     ddy = 2 * dy
-    if ddx >= ddy:
-        errorprev = error = dx
-        for _ in range(dx):
-            x += xstep
-            error += ddy
-            if error > ddx:
-                y += ystep
-                error -= ddx
-                if error + errorprev < ddx:
-                    cells.append((x, y - ystep))
-                elif error + errorprev > ddx:
-                    cells.append((x - xstep, y))
-                else:
-                    # exact corner crossing: both side cells touch the segment
-                    cells.append((x, y - ystep))
-                    cells.append((x - xstep, y))
-            cells.append((x, y))
-            errorprev = error
-    else:
-        errorprev = error = dy
-        for _ in range(dy):
+    errorprev = error = dx
+    for _ in range(dx):
+        x += xstep
+        error += ddy
+        if error > ddx:
             y += ystep
-            error += ddx
-            if error > ddy:
-                x += xstep
-                error -= ddy
-                if error + errorprev < ddy:
-                    cells.append((x - xstep, y))
-                elif error + errorprev > ddy:
-                    cells.append((x, y - ystep))
-                else:
-                    cells.append((x - xstep, y))
-                    cells.append((x, y - ystep))
-            cells.append((x, y))
-            errorprev = error
-    return cells
+            error -= ddx
+            if error + errorprev < ddx:
+                cells.append((x, y - ystep))
+            elif error + errorprev > ddx:
+                cells.append((x - xstep, y))
+            else:
+                # exact corner crossing: both side cells touch the segment
+                cells.append((x, y - ystep))
+                cells.append((x - xstep, y))
+        cells.append((x, y))
+        errorprev = error
+    return [(v, u) for u, v in cells] if steep else cells
 
 
 def cell_vertex_ids(grid: GridSpec) -> dict[tuple[int, int], int]:
@@ -281,14 +264,26 @@ def round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _checked_scales(g: RealGraph, s) -> np.ndarray:
+    """s as a float array; ValueError unless every scale and every w / s is positive and finite."""
+    scales = np.asarray(s, dtype=float)
+    if not np.all((scales > 0) & np.isfinite(scales)):
+        raise ValueError(f"scale s must be a positive finite real, got {s!r}")
+    with np.errstate(over="ignore"):
+        # w / s grows with w, so the largest weight overflows first
+        if g.edges and not np.all(np.isfinite(g.max_weight / scales)):
+            raise ValueError(f"scale s={s!r} overflows w / s for the weight {g.max_weight!r}")
+    return scales
+
+
 def discretize(g: RealGraph, s: float) -> IntGraph:
     """Map real weights to integers: w -> max(1, round(w / s)), halves away from zero.
 
     Vertices, positions, and the edge set are preserved, so connectivity never
-    changes; only weights do.  s must be positive.
+    changes; only weights do.  s must be positive and finite, and w / s
+    finite for every weight w (ValueError otherwise).
     """
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError(f"scale s must be a positive finite real, got {s!r}")
+    _checked_scales(g, s)
     edges = [(u, v, max(1, round_half_away(w / s))) for u, v, w in g.edges]
     return IntGraph(g.vertices, edges)
 
@@ -304,11 +299,10 @@ def discretization_error(g: RealGraph, s, paths: Iterable[Sequence[int]]):
     s is one scale (the result is a float) or an array of scales (the result
     is an array of the same shape, one total per scale).  Each total is summed
     over the traversals in path order, starting from 0.0, so it is bit for bit
-    the total of a scalar loop over the traversals at that scale.
+    the total of a scalar loop over the traversals at that scale.  Scales are
+    checked as discretize checks them.
     """
-    scales = np.asarray(s, dtype=float)
-    if not np.all((scales > 0) & np.isfinite(scales)):
-        raise ValueError(f"scale s must be a positive finite real, got {s!r}")
+    scales = _checked_scales(g, s)
     weight = g._weight
     ws = []
     for path in paths:

@@ -2,8 +2,12 @@
 
 Plain-function kernel: fast non-dominated sorting, crowding distance, binary
 tournament selection, simulated binary crossover, and polynomial mutation,
-with (mu + lambda) truncation each generation.  The evolve loop returns the
-final population's first front, which the tuner scans for its next sample.
+with (mu + lambda) truncation each generation (Deb et al. 2002).  Each
+generation sorts its parents-plus-children pool once: the survivors keep the
+pool's fronts, cut at the population size, and crowding is measured within
+the survivors' fronts, so the cut front's counts its kept members only.  The
+evolve loop returns the final population's first front, whose rows the tuner
+scores for its next sample.
 """
 
 from __future__ import annotations
@@ -93,14 +97,13 @@ def _poly_mutate(x: float, lo: float, hi: float, eta: float, rng: np.random.Gene
     return x + delta * (hi - lo)
 
 
-def _rank_and_crowd(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    fronts = fast_nondominated_sort(objs)
+def _rank_and_crowd(objs: np.ndarray, fronts: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(len(objs), dtype=int)
     crowd = np.empty(len(objs))
     for r, front in enumerate(fronts):
         rank[front] = r
         crowd[front] = crowding_distance(objs, front)
-    return rank, crowd, fronts
+    return rank, crowd
 
 
 def _tournament(rank: np.ndarray, crowd: np.ndarray, rng: np.random.Generator) -> int:
@@ -132,8 +135,9 @@ def nsga2_evolve(
     if n < 2:
         raise ValueError(f"population needs at least 2 members, got {n}")
     f = _eval_objs(objective, x)
+    fronts = fast_nondominated_sort(f)
     for _ in range(generations):
-        rank, crowd, _ = _rank_and_crowd(f)
+        rank, crowd = _rank_and_crowd(f, fronts)
         kids: list[float] = []
         while len(kids) < n:
             p1 = x[_tournament(rank, crowd, rng)]
@@ -151,20 +155,22 @@ def nsga2_evolve(
         cf = _eval_objs(objective, cx)
         pool_x = np.concatenate([x, cx])
         pool_f = np.concatenate([f, cf])
-        fronts = fast_nondominated_sort(pool_f)
         chosen: list[int] = []
-        for front in fronts:
-            if len(chosen) + len(front) <= n:
-                chosen.extend(front)
-            else:
-                room = n - len(chosen)
-                fc = crowding_distance(pool_f, front)
-                order = np.argsort(-fc, kind="stable")
-                chosen.extend(front[i] for i in order[:room])
+        fronts = []
+        for front in fast_nondominated_sort(pool_f):
+            room = n - len(chosen)
+            if len(front) > room:
+                order = np.argsort(-crowding_distance(pool_f, front), kind="stable")
+                front = [front[i] for i in order[:room]]
+            # Every dominator of a survivor sits in a fully kept front above
+            # it, so its rank among the survivors is its rank in the pool.
+            fronts.append(list(range(len(chosen), len(chosen) + len(front))))
+            chosen.extend(front)
+            if len(chosen) == n:
                 break
         x = pool_x[chosen]
         f = pool_f[chosen]
-    first = fast_nondominated_sort(f)[0]
+    first = fronts[0]
     order = np.argsort(x[first], kind="stable")
     idx = [first[i] for i in order]
     return x[idx], f[idx]

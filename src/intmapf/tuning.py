@@ -3,11 +3,13 @@
 The loop treats the solver as a black box T(s): discretize the real graph at
 scale s, solve, measure wall time.  A Gaussian-process surrogate is fit to
 log(runtime + 1e-3) with inputs normalized to [0, 1] and targets standardized,
-its hyperparameters set by L-BFGS-B on the marginal likelihood with the
-analytic gradient (Rasmussen & Williams 2006, eq. 5.9).  A lower confidence
-bound built from the surrogate trades off against the discretization error
-C(s) of the incumbent plans in a small NSGA-II run, and the front member with
-the best normalized combined score becomes the next true evaluation.
+its length scale, signal variance and noise variance set by L-BFGS-B on the
+marginal likelihood with the analytic gradient (Rasmussen & Williams 2006,
+eq. 5.9).  A lower confidence bound built from the surrogate's mean and
+standard deviation (one kernel vector per query) trades off against the
+discretization error C(s) of the incumbent plans in a small NSGA-II run.  The
+front's own (lcb, C) rows are scored, each column min-max normalized, and the
+member with the least sum becomes the next true evaluation.
 Timed-out evaluations are charged the full timeout as their runtime, so the
 surrogate learns to avoid them.
 
@@ -66,10 +68,10 @@ class Observation:
 class SurrogatePosterior:
     """GP posterior over standardized log runtime as a function of s.
 
-    Squared-exponential kernel on s normalized to [0, 1].  mean/std accept a
-    scalar or an array and return the same shape; std is the posterior
-    standard deviation of the latent function (observation noise excluded),
-    clamped at zero.
+    Squared-exponential kernel on s normalized to [0, 1].  predict accepts a
+    scalar or an array and returns (mean, std), each of the input's shape;
+    std is the posterior standard deviation of the latent function
+    (observation noise excluded), clamped at zero.
     """
 
     def __init__(
@@ -82,8 +84,6 @@ class SurrogatePosterior:
         sn2: float,
         x_lo: float,
         x_span: float,
-        y_mean: float,
-        y_std: float,
     ):
         self._x = x_norm
         self._alpha = alpha
@@ -93,26 +93,17 @@ class SurrogatePosterior:
         self.sn2 = sn2
         self._x_lo = x_lo
         self._x_span = x_span
-        self.y_mean = y_mean
-        self.y_std = y_std
 
-    def _kvec(self, s) -> tuple[np.ndarray, bool]:
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        q = (arr - self._x_lo) / self._x_span
+    def predict(self, s):
+        q = (np.atleast_1d(np.asarray(s, dtype=float)) - self._x_lo) / self._x_span
         diff = q[:, None] - self._x[None, :]
-        return self.sf2 * np.exp(-0.5 * (diff / self.ell) ** 2), np.isscalar(s) or np.ndim(s) == 0
-
-    def mean(self, s):
-        k, scalar = self._kvec(s)
+        k = self.sf2 * np.exp(-0.5 * (diff / self.ell) ** 2)
         mu = k @ self._alpha
-        return float(mu[0]) if scalar else mu
-
-    def std(self, s):
-        k, scalar = self._kvec(s)
         v = solve_triangular(self._L, k.T, lower=True)
-        var = np.maximum(self.sf2 - np.sum(v * v, axis=0), 0.0)
-        sd = np.sqrt(var)
-        return float(sd[0]) if scalar else sd
+        sd = np.sqrt(np.maximum(self.sf2 - np.sum(v * v, axis=0), 0.0))
+        if np.ndim(s) == 0:
+            return float(mu[0]), float(sd[0])
+        return mu, sd
 
 
 def _gram(d2: np.ndarray, ell: float, sf2: float, sn2: float) -> np.ndarray:
@@ -122,25 +113,21 @@ def _gram(d2: np.ndarray, ell: float, sf2: float, sn2: float) -> np.ndarray:
     return K
 
 
-def _nll(
-    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, fixed_sn2: float | None
-) -> tuple[float, np.ndarray]:
-    """Negative log marginal likelihood and its gradient in the log parameters.
+def _nll(log_params: np.ndarray, d2: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Negative log marginal likelihood and its gradient in (log ell, log sf2, log sn2).
 
     The gradient is 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta) (Rasmussen &
-    Williams 2006, eq. 5.9) over log ell, log sf2 and, unless fixed_sn2 pins
-    the noise, log sn2.  A kernel matrix that is not positive definite gives
-    (1e25, zeros).
+    Williams 2006, eq. 5.9).  A kernel matrix that is not positive definite
+    gives (1e25, zeros).
     """
     # dpotrf/dpotrs are the LAPACK calls behind cho_factor/cho_solve, minus
     # their per-call input checks; L-BFGS calls this thousands of times per tune.
-    ell, sf2 = math.exp(log_params[0]), math.exp(log_params[1])
-    sn2 = fixed_sn2 if fixed_sn2 is not None else math.exp(log_params[2])
+    ell, sf2, sn2 = math.exp(log_params[0]), math.exp(log_params[1]), math.exp(log_params[2])
     n = len(y)
     K = _gram(d2, ell, sf2, sn2)
     c, info = dpotrf(K, lower=1, clean=0)
     if info != 0:
-        return 1e25, np.zeros(len(log_params))
+        return 1e25, np.zeros(3)
     alpha, _ = dpotrs(c, y, lower=1)
     value = float(0.5 * y @ alpha + np.sum(np.log(np.diag(c))) + 0.5 * n * math.log(2 * math.pi))
     K_inv, _ = dpotrs(c, np.eye(n), lower=1)
@@ -150,9 +137,8 @@ def _nll(
     grad = [
         0.5 * float(np.sum(WK * d2)) / (ell * ell),  # dK/dlog ell = Kf * d2 / ell^2
         0.5 * (float(np.sum(WK)) - max(sn2, _MIN_JITTER) * tr_W),  # dK/dlog sf2 = Kf
+        0.5 * sn2 * tr_W,  # dK/dlog sn2 = sn2 I
     ]
-    if fixed_sn2 is None:
-        grad.append(0.5 * sn2 * tr_W)  # dK/dlog sn2 = sn2 I
     return value, np.array(grad)
 
 
@@ -160,18 +146,16 @@ def fit_surrogate(
     observations: Sequence[Observation],
     bounds: tuple[float, float] | None = None,
     *,
-    noise_variance: float | None = None,
     restarts: int = 8,
     seed: int = 0,
 ) -> SurrogatePosterior:
     """Fit the GP to the observations by marginal-likelihood maximization.
 
     Needs at least 2 observations and restarts >= 1.  Hyperparameters (length
-    scale, signal variance, and noise variance unless noise_variance pins it)
-    are optimized in log space by multi-start L-BFGS-B on the analytic
-    likelihood gradient (see _nll), with seeded restart draws, so a fixed
-    seed yields a fixed posterior.  Failed evaluations participate with their
-    penalty runtime.
+    scale, signal variance and noise variance) are optimized in log space by
+    multi-start L-BFGS-B on the analytic likelihood gradient (see _nll), with
+    seeded restart draws, so a fixed seed yields a fixed posterior.  Failed
+    evaluations participate with their penalty runtime.
     """
     if len(observations) < 2:
         raise ValueError(f"surrogate needs >= 2 observations, got {len(observations)}")
@@ -184,19 +168,17 @@ def fit_surrogate(
     if x_span <= 0:
         x_span = 1.0
     x_norm = (xs - x_lo) / x_span
-    y_mean = float(y_raw.mean())
-    y_std = float(y_raw.std())
-    if y_std == 0.0:
-        y_std = 1.0
-    y = (y_raw - y_mean) / y_std
+    y = (y_raw - y_raw.mean()) / (y_raw.std() or 1.0)
     diff = x_norm[:, None] - x_norm[None, :]
     d2 = diff * diff
 
-    log_bounds = [(math.log(1e-2), math.log(10.0)), (math.log(1e-4), math.log(1e2))]
-    start0 = [math.log(0.3), math.log(1.0)]
-    if noise_variance is None:
-        log_bounds.append((math.log(1e-8), math.log(10.0)))
-        start0.append(math.log(1e-2))
+    # log ell, log sf2, log sn2
+    log_bounds = [
+        (math.log(1e-2), math.log(10.0)),
+        (math.log(1e-4), math.log(1e2)),
+        (math.log(1e-8), math.log(10.0)),
+    ]
+    start0 = [math.log(0.3), math.log(1.0), math.log(1e-2)]
     rng = np.random.default_rng(seed)
     best_params: np.ndarray | None = None
     best_val = math.inf
@@ -208,7 +190,7 @@ def fit_surrogate(
         res = minimize(
             _nll,
             p0,
-            args=(d2, y, noise_variance),
+            args=(d2, y),
             jac=True,
             method="L-BFGS-B",
             bounds=log_bounds,
@@ -218,14 +200,12 @@ def fit_surrogate(
             best_val = val
             best_params = np.asarray(res.x)
     assert best_params is not None
-    ell = math.exp(best_params[0])
-    sf2 = math.exp(best_params[1])
-    sn2 = noise_variance if noise_variance is not None else math.exp(best_params[2])
+    ell, sf2, sn2 = (math.exp(p) for p in best_params)
     L, info = dpotrf(_gram(d2, ell, sf2, sn2), lower=1, clean=1)  # clean=1 zeros the upper triangle
     if info != 0:
         raise np.linalg.LinAlgError(f"kernel matrix is not positive definite (dpotrf info {info})")
     alpha, _ = dpotrs(L, y, lower=1)
-    return SurrogatePosterior(x_norm, alpha, L, ell, sf2, sn2, x_lo, x_span, y_mean, y_std)
+    return SurrogatePosterior(x_norm, alpha, L, ell, sf2, sn2, x_lo, x_span)
 
 
 def lcb(post: SurrogatePosterior, s, t: int, delta: float):
@@ -239,28 +219,25 @@ def lcb(post: SurrogatePosterior, s, t: int, delta: float):
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     beta = 2.0 * math.log(t**2.5 * math.pi**2 / (3.0 * delta))
-    root = math.sqrt(max(beta, 0.0))
-    return post.mean(s) - root * post.std(s)
+    mu, sd = post.predict(s)
+    return mu - math.sqrt(max(beta, 0.0)) * sd
 
 
-def score_candidates(post: SurrogatePosterior, s_values, t: int, delta: float, errors) -> np.ndarray:
-    """Combined pick score over a candidate population: both terms min-max normalized.
+def score_candidates(objs) -> np.ndarray:
+    """Combined pick score of each (lcb, error) row: the two columns min-max normalized, summed.
 
-    Lower is better.  With a single candidate, or a degenerate spread, a
-    term's normalized contribution is zero.
+    Lower is better.  A column without spread (one row, or equal values)
+    contributes zero.
     """
-    a = np.atleast_1d(np.asarray(lcb(post, np.asarray(s_values, dtype=float), t, delta), dtype=float))
-    c = np.atleast_1d(np.asarray(errors, dtype=float))
-    if a.shape != c.shape:
-        raise ValueError(f"lcb and error arrays disagree: {a.shape} vs {c.shape}")
+    objs = np.asarray(objs, dtype=float)
+    if objs.ndim != 2 or objs.shape[1] != 2 or len(objs) == 0:
+        raise ValueError(f"objs must have shape (n, 2) with n >= 1, got {objs.shape}")
 
     def norm(v: np.ndarray) -> np.ndarray:
         span = v.max() - v.min()
-        if len(v) <= 1 or span <= 0:
-            return np.zeros_like(v)
-        return (v - v.min()) / span
+        return (v - v.min()) / span if span > 0 else np.zeros_like(v)
 
-    return norm(a) + norm(c)
+    return norm(objs[:, 0]) + norm(objs[:, 1])
 
 
 @dataclass(frozen=True)
@@ -376,12 +353,10 @@ def tune(
         pop0 = _biased_population(rng, obs, config)
 
         def objective(xs: np.ndarray) -> np.ndarray:
-            a = np.atleast_1d(np.asarray(lcb(post, xs, t_next, config.delta), dtype=float))
-            c = c_of(xs)
-            return np.column_stack([a, c])
+            return np.column_stack([lcb(post, xs, t_next, config.delta), c_of(xs)])
 
         front_x, front_f = nsga2_evolve(pop0, objective, (lo, hi), config.generations, rng)
-        scores = score_candidates(post, front_x, t_next, config.delta, front_f[:, 1])
+        scores = score_candidates(front_f)
         pick = int(np.argmin(scores))
         observe(float(front_x[pick]), float(front_f[pick, 0]), float(scores[pick]), post)
     return _wrap_up(obs, records)
@@ -395,10 +370,8 @@ def _biased_population(rng: np.random.Generator, obs: list[Observation], config:
     lo, hi = config.s_min, config.s_max
     uniform = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n_uniform))
     ranked = sorted(obs, key=lambda o: (not o.success, o.runtime, o.error, o.s))
-    sigma = 0.1 * (hi - lo)
-    elites = np.array(
-        [ranked[i % len(ranked)].s + rng.normal(0.0, sigma) for i in range(n_elite)]
-    )
+    centres = np.array([ranked[i % len(ranked)].s for i in range(n_elite)])
+    elites = centres + rng.normal(0.0, 0.1 * (hi - lo), size=n_elite)
     return np.clip(np.concatenate([uniform, elites]), lo, hi)
 
 

@@ -1,6 +1,7 @@
 """Grid geometry, discretization, and shortest-path tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,28 @@ def test_discretization_error_scalar_empty_and_invalid_scales():
             discretization_error(g, bad, [[0, 1]])
     with pytest.raises(ValueError, match="no edge between 0 and 2"):
         discretization_error(g, scales, [[0, 1], [0, 2]])
+
+
+def test_overflowing_scale_raises_the_same_value_error():
+    # 2.0 / 1e-310 overflows to inf: both functions refuse it the same way,
+    # with no numpy warning, for one scale and for an array holding it
+    g = RealGraph(_line_vertices(3), [(0, 1, 0.5), (1, 2, 2.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        messages = set()
+        for call in (
+            lambda: discretize(g, 1e-310),
+            lambda: discretization_error(g, 1e-310, [[0, 1, 2]]),
+            lambda: discretization_error(g, 1e-310, []),
+            lambda: discretization_error(g, np.array([0.5, 1e-310]), [[0, 1]]),
+        ):
+            with pytest.raises(ValueError, match="overflows w / s") as info:
+                call()
+            messages.add(str(info.value).split(" overflows")[1])
+        assert messages == {" w / s for the weight 2.0"}
+        # a scale at which 2.0 / s stays finite still works
+        assert [w for _, _, w in discretize(g, 1e-300).edges][1] == round(2.0 / 1e-300)
+        assert discretization_error(g, np.array([1e-300, 0.5]), [[0, 1]]).shape == (2,)
 
 
 def test_discretized_costs_scale_back_to_real_costs():

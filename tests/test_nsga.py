@@ -4,6 +4,8 @@ The sorting routine is checked against an O(n^2) peeling oracle on random
 objective sets, including heavy ties and exact duplicates.  The evolve loop
 gets two analytic problems: a straight trade-off front it must spread along,
 and a collapsed problem whose front is a single point it must converge to.
+It must also return exactly what a loop that sorts every population afresh
+returns, on objectives with trade-offs, ties and duplicates.
 """
 
 import random
@@ -12,7 +14,19 @@ import numpy as np
 import pytest
 
 from intmapf import nsga2_evolve
-from intmapf.nsga import crowding_distance, dominates, fast_nondominated_sort
+from intmapf.nsga import (
+    ETA_C,
+    ETA_M,
+    P_CROSSOVER,
+    P_MUTATION,
+    _eval_objs,
+    _poly_mutate,
+    _sbx,
+    _tournament,
+    crowding_distance,
+    dominates,
+    fast_nondominated_sort,
+)
 
 from oracles import pareto_fronts_peel
 
@@ -132,3 +146,76 @@ def test_evolve_validation():
         nsga2_evolve(np.array([0.1]), _tradeoff, (0.0, 1.0), 5, rng)
     with pytest.raises(ValueError, match="shape"):
         nsga2_evolve(np.array([0.1, 0.2]), lambda x: x, (0.0, 1.0), 5, rng)
+
+
+def _evolve_resorting(initial, objective, bounds, generations, rng):
+    """nsga2_evolve with a fresh non-dominated sort of each new population and of the final one."""
+    lo, hi = bounds
+    x = np.clip(np.asarray(initial, dtype=float), lo, hi)
+    n = len(x)
+    f = _eval_objs(objective, x)
+    for _ in range(generations):
+        rank = np.empty(n, dtype=int)
+        crowd = np.empty(n)
+        for r, front in enumerate(fast_nondominated_sort(f)):
+            rank[front] = r
+            crowd[front] = crowding_distance(f, front)
+        kids = []
+        while len(kids) < n:
+            p1 = x[_tournament(rank, crowd, rng)]
+            p2 = x[_tournament(rank, crowd, rng)]
+            if rng.random() <= P_CROSSOVER:
+                c1, c2 = _sbx(p1, p2, ETA_C, rng)
+            else:
+                c1, c2 = p1, p2
+            if rng.random() <= P_MUTATION:
+                c1 = _poly_mutate(c1, lo, hi, ETA_M, rng)
+            if rng.random() <= P_MUTATION:
+                c2 = _poly_mutate(c2, lo, hi, ETA_M, rng)
+            kids.extend((c1, c2))
+        cx = np.clip(np.array(kids[:n]), lo, hi)
+        pool_x = np.concatenate([x, cx])
+        pool_f = np.concatenate([f, _eval_objs(objective, cx)])
+        chosen = []
+        for front in fast_nondominated_sort(pool_f):
+            if len(chosen) + len(front) <= n:
+                chosen.extend(front)
+            else:
+                order = np.argsort(-crowding_distance(pool_f, front), kind="stable")
+                chosen.extend(front[i] for i in order[: n - len(chosen)])
+                break
+        x = pool_x[chosen]
+        f = pool_f[chosen]
+    first = fast_nondominated_sort(f)[0]
+    idx = [first[i] for i in np.argsort(x[first], kind="stable")]
+    return x[idx], f[idx]
+
+
+def _constant(x):
+    return np.zeros((len(x), 2))
+
+
+def _step(x):
+    return np.stack([np.floor(4.0 * x), np.floor(3.0 * (1.0 - x))], axis=1)
+
+
+def _rounded_tradeoff(x):
+    # many decision values share an objective row, and a rounded optimum
+    r = np.round(x, 1)
+    return np.stack([r**2, (1.0 - r) ** 2], axis=1)
+
+
+@pytest.mark.parametrize("objective", [_tradeoff, _constant, _step, _rounded_tradeoff])
+def test_evolve_equals_the_resorting_loop(objective):
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 25))
+        init = rng.random(n)
+        if objective is _rounded_tradeoff or seed % 4 == 0:
+            init[: n // 2] = init[0]  # duplicate decision values
+        generations = int(rng.integers(1, 16))
+        state = rng.bit_generator.state
+        got = nsga2_evolve(init, objective, (0.0, 1.0), generations, rng)
+        rng.bit_generator.state = state
+        want = _evolve_resorting(init, objective, (0.0, 1.0), generations, rng)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed

@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from intmapf import Observation, TuneConfig, TuneResult, tune, tune_graph
+from intmapf import Observation, TuneConfig, TuneResult, nsga2_evolve, tune, tune_graph, tuning
 from intmapf.graph import RealGraph, Vertex, discretization_error
 from intmapf.mapio import Instance
 from intmapf.tuning import (
@@ -49,24 +49,27 @@ def test_two_point_fit_is_antisymmetric_about_midpoint():
     # any two distinct targets standardize to +-1, so the posterior mean at
     # the midpoint cancels exactly
     post = fit_surrogate(_obs([(0.0, 1.0), (1.0, 5.0)]), seed=3)
-    assert abs(post.mean(0.5)) < 1e-8
-    assert post.mean(0.0) * post.mean(1.0) < 0  # opposite signs at the ends
+    assert abs(post.predict(0.5)[0]) < 1e-8
+    assert post.predict(0.0)[0] * post.predict(1.0)[0] < 0  # opposite signs at the ends
 
 
 def test_near_noiseless_fit_interpolates():
-    obs = _obs([(0.1, 0.5), (0.5, 2.0), (0.9, 0.8)])
-    post = fit_surrogate(obs, noise_variance=1e-8, seed=0)
+    # a smooth sample drives the fitted noise down to its 1e-8 floor
+    obs = _obs([(s, math.exp(math.sin(3.0 * s))) for s in np.linspace(0.1, 0.9, 6)])
+    post = fit_surrogate(obs, seed=0)
+    assert post.sn2 <= 1e-7
     y_raw = np.log(np.array([o.runtime for o in obs]) + 1e-3)
     y_std = (y_raw - y_raw.mean()) / y_raw.std()
     for o, want in zip(obs, y_std):
-        assert abs(post.mean(o.s) - want) < 1e-6
+        assert abs(post.predict(o.s)[0] - want) < 1e-6
 
 
 def test_uncertainty_grows_away_from_data():
-    post = fit_surrogate(_obs([(0.2, 1.0), (0.8, 3.0)]), noise_variance=1e-6, seed=1)
-    assert post.std(0.2) <= post.std(0.5)
-    assert post.std(0.8) <= post.std(0.5)
-    assert post.std(0.5) >= 0.0
+    post = fit_surrogate(_obs([(0.2, 1.0), (0.8, 3.0)]), seed=1)
+    sd = {s: post.predict(s)[1] for s in (0.2, 0.5, 0.8)}
+    assert sd[0.2] <= sd[0.5]
+    assert sd[0.8] <= sd[0.5]
+    assert sd[0.5] >= 0.0
 
 
 def test_posterior_matches_direct_computation():
@@ -79,28 +82,34 @@ def test_posterior_matches_direct_computation():
     ys = np.array([o.runtime for o in obs])
     q = np.linspace(0.1, 2.0, 9)
     mu_d, sd_d = gp_direct(xs, ys, q, post.ell, post.sf2, post.sn2, bounds)
-    assert np.allclose(post.mean(q), mu_d, atol=1e-8)
-    assert np.allclose(post.std(q), sd_d, atol=1e-8)
+    mu, sd = post.predict(q)
+    assert np.allclose(mu, mu_d, atol=1e-8)
+    assert np.allclose(sd, sd_d, atol=1e-8)
 
 
 def test_scalar_and_array_queries_agree():
     post = fit_surrogate(_obs([(0.0, 1.0), (0.5, 2.0), (1.0, 0.3)]), seed=0)
-    arr = post.mean(np.array([0.25, 0.75]))
-    assert isinstance(post.mean(0.25), float)
-    assert arr.shape == (2,)
-    assert post.mean(0.25) == pytest.approx(arr[0])
-    assert post.std(0.75) == pytest.approx(post.std(np.array([0.75]))[0])
+    mu, sd = post.predict(np.array([0.25, 0.75]))
+    assert mu.shape == sd.shape == (2,)
+    for s, m, d in ((0.25, mu[0], sd[0]), (0.75, mu[1], sd[1])):
+        for query in (s, np.float64(s), np.array(s)):
+            got = post.predict(query)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert got == (pytest.approx(m), pytest.approx(d))
+    one = post.predict(np.array([0.75]))
+    assert one[0].shape == one[1].shape == (1,)
+    assert (one[0][0], one[1][0]) == (pytest.approx(mu[1]), pytest.approx(sd[1]))
 
 
 def test_duplicate_scales_fit_without_blowup():
     post = fit_surrogate(_obs([(0.5, 1.0), (0.5, 4.0), (1.0, 2.0)]), seed=4)
-    assert math.isfinite(post.mean(0.7))
-    assert math.isfinite(post.std(0.7))
+    mu, sd = post.predict(0.7)
+    assert math.isfinite(mu)
+    assert math.isfinite(sd)
 
 
-def _nll_reference(log_params, d2, y, fixed_sn2):
-    ell, sf2 = math.exp(log_params[0]), math.exp(log_params[1])
-    sn2 = fixed_sn2 if fixed_sn2 is not None else math.exp(log_params[2])
+def _nll_reference(log_params, d2, y):
+    ell, sf2, sn2 = (math.exp(p) for p in log_params)
     n = len(y)
     K = sf2 * np.exp(-0.5 * d2 / (ell * ell)) + max(sn2, 1e-8) * np.eye(n)
     try:
@@ -120,16 +129,13 @@ def test_nll_equals_cho_factor_reference():
         d2 = (x[:, None] - x[None, :]) ** 2
         y = rng.normal(size=n)
         log_params = np.array([rng.uniform(-4.6, 2.3), rng.uniform(-9.2, 4.6), rng.uniform(-20.0, 2.3)])
-        fixed = None if trial % 2 else float(math.exp(rng.uniform(-20.0, 0.0)))
-        if fixed is not None:
-            log_params = log_params[:2]
-        assert _nll(log_params, d2, y, fixed)[0] == _nll_reference(log_params, d2, y, fixed)
+        assert _nll(log_params, d2, y)[0] == _nll_reference(log_params, d2, y)
     # off-diagonal weights above the diagonal's make K indefinite
     d2 = np.array([[0.0, -10.0], [-10.0, 0.0]])
     y = np.array([0.5, -0.5])
-    assert _nll_reference(np.zeros(3), d2, y, None) == 1e25
-    assert _nll(np.zeros(3), d2, y, None)[0] == 1e25
-    assert _nll(np.zeros(2), d2, y, 0.01)[0] == 1e25
+    for log_params in (np.zeros(3), np.array([0.0, 0.0, math.log(0.01)])):
+        assert _nll_reference(log_params, d2, y) == 1e25
+        assert _nll(log_params, d2, y)[0] == 1e25
 
 
 def test_nll_gradient_matches_central_differences():
@@ -144,43 +150,41 @@ def test_nll_gradient_matches_central_differences():
         # noise of at least 1e-2 keeps K well conditioned; closer to singular,
         # the differences lose more digits than the closed form does
         log_params = np.array([rng.uniform(-4.6, 2.3), rng.uniform(-9.2, 4.6), rng.uniform(-4.6, 2.3)])
-        fixed = None if trial % 2 else float(math.exp(log_params[2]))
-        if fixed is not None:
-            log_params = log_params[:2]
-        grad = _nll(log_params, d2, y, fixed)[1]
-        assert grad.shape == log_params.shape
+        grad = _nll(log_params, d2, y)[1]
+        assert grad.shape == (3,)
         fd = np.array(
             [
-                (_nll(log_params + h * e, d2, y, fixed)[0] - _nll(log_params - h * e, d2, y, fixed)[0]) / (2 * h)
-                for e in np.eye(len(log_params))
+                (_nll(log_params + h * e, d2, y)[0] - _nll(log_params - h * e, d2, y)[0]) / (2 * h)
+                for e in np.eye(3)
             ]
         )
         assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(grad).max()), (trial, grad, fd)
     d2 = np.array([[0.0, -10.0], [-10.0, 0.0]])  # K indefinite, as above
     y = np.array([0.5, -0.5])
-    for log_params, fixed in ((np.zeros(3), None), (np.zeros(2), 0.01)):
-        value, grad = _nll(log_params, d2, y, fixed)
+    for log_params in (np.zeros(3), np.array([0.0, 0.0, math.log(0.01)])):
+        value, grad = _nll(log_params, d2, y)
         assert value == 1e25
-        assert grad.tolist() == [0.0] * len(log_params)
+        assert grad.tolist() == [0.0, 0.0, 0.0]
 
 
-def _fd_fit_nll(obs, bounds, noise_variance, restarts, seed):
+def _fd_fit_nll(obs, bounds, restarts, seed):
     """Best NLL of a finite-difference L-BFGS-B fit with fit_surrogate's inputs, starts and bounds."""
     xs = np.array([o.s for o in obs])
     y_raw = np.log(np.array([o.runtime for o in obs]) + 1e-3)
     x_norm = (xs - bounds[0]) / (bounds[1] - bounds[0])
     y = (y_raw - y_raw.mean()) / (y_raw.std() or 1.0)
     d2 = (x_norm[:, None] - x_norm[None, :]) ** 2
-    log_bounds = [(math.log(1e-2), math.log(10.0)), (math.log(1e-4), math.log(1e2))]
-    start0 = [math.log(0.3), math.log(1.0)]
-    if noise_variance is None:
-        log_bounds.append((math.log(1e-8), math.log(10.0)))
-        start0.append(math.log(1e-2))
+    log_bounds = [
+        (math.log(1e-2), math.log(10.0)),
+        (math.log(1e-4), math.log(1e2)),
+        (math.log(1e-8), math.log(10.0)),
+    ]
+    start0 = [math.log(0.3), math.log(1.0), math.log(1e-2)]
     rng = np.random.default_rng(seed)
     best = math.inf
     for r in range(restarts):
         p0 = np.array(start0) if r == 0 else np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
-        res = minimize(lambda p: _nll(p, d2, y, noise_variance)[0], p0, method="L-BFGS-B", bounds=log_bounds)
+        res = minimize(lambda p: _nll(p, d2, y)[0], p0, method="L-BFGS-B", bounds=log_bounds)
         best = min(best, float(res.fun))
     return best, d2, y
 
@@ -196,15 +200,13 @@ def test_fit_reaches_the_finite_difference_optimum():
             runtimes = rng.integers(5, 40, size=n).astype(float)  # counts, like low_level_calls
         else:
             runtimes = rng.lognormal(-3.0, 1.0, size=n)
-        noise = None if trial % 2 else 1e-4
         obs = [Observation(float(a), float(b), True, 0.0) for a, b in zip(s, runtimes)]
-        post = fit_surrogate(obs, bounds=bounds, noise_variance=noise, restarts=8, seed=trial)
-        ref, d2, y = _fd_fit_nll(obs, bounds, noise, 8, trial)
-        log_params = [math.log(post.ell), math.log(post.sf2)] + ([math.log(post.sn2)] if noise is None else [])
-        got = _nll(np.array(log_params), d2, y, noise)[0]
+        post = fit_surrogate(obs, bounds=bounds, restarts=8, seed=trial)
+        ref, d2, y = _fd_fit_nll(obs, bounds, 8, trial)
+        got = _nll(np.log([post.ell, post.sf2, post.sn2]), d2, y)[0]
         # L-BFGS-B stops once a step gains less than 2.2e-9 of the value, so
-        # where the NLL runs to tens of thousands (small pinned noise under
-        # repeated scales) either fit may stop a few 1e-6 short of the other
+        # where the NLL runs large (small noise under repeated scales) either
+        # fit may stop a few 1e-6 short of the other
         assert got <= ref + 1e-6 + 1e-8 * abs(ref), (trial, got, ref)
 
 
@@ -215,7 +217,7 @@ def test_surrogate_needs_two_observations():
 
 def test_identical_runtimes_standardize_safely():
     post = fit_surrogate(_obs([(0.2, 1.0), (0.8, 1.0)]), seed=0)
-    assert abs(post.mean(0.5)) < 1e-6  # flat data, flat posterior
+    assert abs(post.predict(0.5)[0]) < 1e-6  # flat data, flat posterior
 
 
 # ---------------------------------------------------------------- lcb/score
@@ -225,11 +227,10 @@ class _StubPost:
     def __init__(self, mu, sd):
         self._mu, self._sd = mu, sd
 
-    def mean(self, s):
-        return self._mu if np.ndim(s) == 0 else np.full(np.shape(s), self._mu)
-
-    def std(self, s):
-        return self._sd if np.ndim(s) == 0 else np.full(np.shape(s), self._sd)
+    def predict(self, s):
+        if np.ndim(s) == 0:
+            return self._mu, self._sd
+        return np.full(np.shape(s), self._mu), np.full(np.shape(s), self._sd)
 
 
 def test_lcb_worked_example():
@@ -238,8 +239,14 @@ def test_lcb_worked_example():
     # identity against the explicit formula on a fitted posterior
     real = fit_surrogate(_obs([(0.1, 1.0), (0.9, 3.0)]), seed=0)
     for t in (1, 2, 7):
-        want = real.mean(0.3) - math.sqrt(max(2 * math.log(t**2.5 * math.pi**2 / 0.3), 0.0)) * real.std(0.3)
+        mu, sd = real.predict(0.3)
+        want = mu - math.sqrt(max(2 * math.log(t**2.5 * math.pi**2 / 0.3), 0.0)) * sd
         assert lcb(real, 0.3, t, 0.1) == pytest.approx(want, abs=1e-12)
+    # an array of scales gives the bound of each, as the NSGA-II objective uses it
+    q = np.array([0.1, 0.3, 0.6])
+    mu, sd = real.predict(q)
+    root = math.sqrt(2 * math.log(3**2.5 * math.pi**2 / 0.3))
+    assert np.allclose(lcb(real, q, 3, 0.1), mu - root * sd, rtol=0, atol=1e-12)
 
 
 def test_lcb_validation():
@@ -253,41 +260,49 @@ def test_lcb_validation():
 
 
 def test_score_single_candidate_is_zero():
-    post = _StubPost(2.0, 0.5)
-    assert score_candidates(post, [0.4], 3, 0.1, [7.0]) == pytest.approx([0.0])
+    assert score_candidates(np.array([[-1.0, 7.0]])).tolist() == [0.0]
 
 
 def test_score_ranks_hand_candidates():
     # lcb spread [0, 1, 2] against errors [2, 0, 1]: normalized sums are
     # [1.0, 0.5, 1.5], so the middle candidate wins
-    class _Three:
-        def mean(self, s):
-            return np.asarray(s, dtype=float) * 0.0 + np.array([0.0, 1.0, 2.0])
-
-        def std(self, s):
-            return np.zeros(3)
-
-    scores = score_candidates(_Three(), [0.1, 0.2, 0.3], 2, 0.1, [2.0, 0.0, 1.0])
-    assert scores == pytest.approx([1.0, 0.5, 1.5])
+    scores = score_candidates(np.array([[0.0, 2.0], [1.0, 0.0], [2.0, 1.0]]))
+    assert scores.tolist() == [1.0, 0.5, 1.5]
     assert int(np.argmin(scores)) == 1
+    # min-max normalization ignores each column's offset and scale
+    assert score_candidates(np.array([[-5.0, 40.0], [-3.0, 20.0], [-1.0, 30.0]])).tolist() == [1.0, 0.5, 1.5]
 
 
 def test_score_constant_error_falls_back_to_lcb_order():
-    class _Three:
-        def mean(self, s):
-            return np.array([3.0, 1.0, 2.0])
-
-        def std(self, s):
-            return np.zeros(3)
-
-    scores = score_candidates(_Three(), [0.1, 0.2, 0.3], 2, 0.1, [5.0, 5.0, 5.0])
+    scores = score_candidates([[3.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
     assert np.argmin(scores) == 1
-    assert scores == pytest.approx([1.0, 0.0, 0.5])
+    assert scores.tolist() == [1.0, 0.0, 0.5]
 
 
 def test_score_shape_mismatch_raises():
-    with pytest.raises(ValueError, match="disagree"):
-        score_candidates(_StubPost(0.0, 1.0), [0.1, 0.2], 1, 0.1, [1.0])
+    for bad in (np.ones((2, 3)), np.ones(2), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            score_candidates(bad)
+
+
+def test_pick_scores_the_fronts_own_rows(monkeypatch):
+    # the pick is the front row with the least score_candidates score, and
+    # its record holds that row's lcb and score, with nothing recomputed
+    fronts = []
+
+    def evolve(*args):
+        out = nsga2_evolve(*args)
+        fronts.append(out)
+        return out
+
+    monkeypatch.setattr(tuning, "nsga2_evolve", evolve)
+    cfg = TuneConfig(s_min=0.05, s_max=1.0, budget=8, population=8, generations=4)
+    out = tune(_parabola_eval, lambda s, p: np.abs(np.sin(9.0 * s)), cfg, seed=6, initial_paths=[[0]])
+    assert len(fronts) == 5
+    for r, (front_x, front_f) in zip(out.records[3:], fronts):
+        scores = score_candidates(front_f)
+        pick = int(np.argmin(scores))
+        assert (r.s, r.lcb, r.score) == (front_x[pick], front_f[pick, 0], scores[pick])
 
 
 # ---------------------------------------------------------------- pareto front
