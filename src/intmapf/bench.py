@@ -15,10 +15,11 @@ import math
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .cbs import Failure, Solution, SolveConfig, solve, validate_solution
 from .graph import (
@@ -29,7 +30,7 @@ from .graph import (
     discretization_error,
     discretize,
 )
-from .mapio import Instance, ScenarioEntry
+from .mapio import Instance, ScenarioEntry, _cell
 from .tuning import TuneConfig, tune_graph
 
 __all__ = [
@@ -47,9 +48,8 @@ __all__ = [
     "desk_suite",
 ]
 
-ROW_HEADER = "map,k,n_agents,scenario,mode,success,makespan,runtime_s,ct_nodes,ll_calls,s_used,error"
-SUMMARY_HEADER = "map,k,mode,n_agents,success_rate,mean_runtime_s,makespan_q1,makespan_median,makespan_q3"
 MODES = ("fixed", "baseline", "tuned")
+SUITE_TIMEOUT = 10.0  # seconds per solve unless the suite's solver config says otherwise
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ class ExperimentSpec:
     agent_counts: tuple[int, ...]
     modes: tuple[str, ...]
     fixed_s: float = 1.0
-    solver: SolveConfig = field(default_factory=lambda: SolveConfig(timeout=10.0))
-    tune: TuneConfig | None = None
+    solver: SolveConfig = field(default_factory=lambda: SolveConfig(timeout=SUITE_TIMEOUT))
     seed: int = 0
     workers: int = 1
 
@@ -95,7 +94,7 @@ class ResultRow:
     success: bool
     makespan: int | None
     runtime_s: float
-    ct_nodes: int  # SearchStats.nodes_expanded
+    nodes_expanded: int
     ll_calls: int
     s_used: float
     error: float | None
@@ -119,6 +118,9 @@ class SuiteResult:
     tuning: tuple[TuningRecord, ...]
 
 
+_STATISTIC = {"missing": "--"}  # what the CSV shows for a statistic with no successful run
+
+
 @dataclass(frozen=True)
 class SummaryRow:
     map: str
@@ -126,10 +128,18 @@ class SummaryRow:
     mode: str
     n_agents: int
     success_rate: float  # percent
-    mean_runtime_s: float | None
-    makespan_q1: float | None
-    makespan_median: float | None
-    makespan_q3: float | None
+    mean_runtime_s: float | None = field(metadata=_STATISTIC)
+    makespan_q1: float | None = field(metadata=_STATISTIC)
+    makespan_median: float | None = field(metadata=_STATISTIC)
+    makespan_q3: float | None = field(metadata=_STATISTIC)
+
+
+def _header(cls) -> str:
+    return ",".join(f.name for f in fields(cls))
+
+
+ROW_HEADER = _header(ResultRow)
+SUMMARY_HEADER = _header(SummaryRow)
 
 
 def _cell_ids(case: MapCase) -> dict[tuple[int, int], int] | None:
@@ -179,20 +189,15 @@ def _worker(payload) -> ResultRow:
 
 
 def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
-    eval_timeout = 3.0 if spec.solver.timeout is None else min(3.0, spec.solver.timeout)
-    cfg = spec.tune
-    if cfg is None:
-        cfg = TuneConfig(
-            s_min=0.5,
-            s_max=max(2.5, case.graph.max_weight),
-            budget=6,
-            population=12,
-            generations=10,
-            eval_timeout=eval_timeout,
-            restarts=4,
-        )
-    elif cfg.eval_timeout is None:
-        cfg = replace(cfg, eval_timeout=eval_timeout)
+    cfg = TuneConfig(
+        s_min=0.5,
+        s_max=max(2.5, case.graph.max_weight),
+        budget=6,
+        population=12,
+        generations=10,
+        eval_timeout=3.0 if spec.solver.timeout is None else min(3.0, spec.solver.timeout),
+        restarts=4,
+    )
     n = min(max(spec.agent_counts), len(case.scenarios[0]))
     inst = _case_instance(case, _cell_ids(case), 0, n)
     t0 = _time.perf_counter()
@@ -253,41 +258,21 @@ def aggregate(rows: Sequence[ResultRow]) -> list[SummaryRow]:
     return out
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _to_csv(cls, records) -> str:
+    """Header and one line per record, one column per field of cls."""
+    lines = [_header(cls)]
+    for r in records:
+        values = [(f, getattr(r, f.name)) for f in fields(cls)]
+        lines.append(",".join(f.metadata.get("missing", "") if v is None else _cell(v) for f, v in values))
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:
-    lines = [ROW_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.map, r.k, r.n_agents, r.scenario, r.mode, r.success,
-                    r.makespan, r.runtime_s, r.ct_nodes, r.ll_calls, r.s_used, r.error,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _to_csv(ResultRow, rows)
 
 
 def summary_to_csv(summaries: Sequence[SummaryRow]) -> str:
-    lines = [SUMMARY_HEADER]
-    for s in summaries:
-        cells = [
-            _cell(s.map), _cell(s.k), _cell(s.mode), _cell(s.n_agents), _cell(s.success_rate),
-        ]
-        for v in (s.mean_runtime_s, s.makespan_q1, s.makespan_median, s.makespan_q3):
-            cells.append("--" if v is None else _cell(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _to_csv(SummaryRow, summaries)
 
 
 def plot_data(summaries: Sequence[SummaryRow], metric: str = "success_rate") -> str:
@@ -309,37 +294,27 @@ def _octile(a: tuple[int, int], b: tuple[int, int]) -> float:
     return max(dx, dy) + (math.sqrt(2.0) - 1.0) * min(dx, dy)
 
 
-def _largest_component(grid: GridSpec) -> list[tuple[int, int]]:
-    # 4-connected flood fill is enough to find one well-connected region
-    seen: set[tuple[int, int]] = set()
-    best: list[tuple[int, int]] = []
-    for y in range(grid.height):
-        for x in range(grid.width):
-            if not grid.is_passable(x, y) or (x, y) in seen:
-                continue
-            comp = [(x, y)]
-            seen.add((x, y))
-            queue = [(x, y)]
-            while queue:
-                cx, cy = queue.pop()
-                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
-                    if grid.is_passable(nx, ny) and (nx, ny) not in seen:
-                        seen.add((nx, ny))
-                        comp.append((nx, ny))
-                        queue.append((nx, ny))
-            if len(comp) > len(best):
-                best = comp
-    return best
+def _largest_component(graph: RealGraph) -> list[tuple[int, int]]:
+    """Cells of a grid graph's largest connected component; the lowest vertex id breaks ties.
+
+    Every 2^k neighborhood holds the four cardinal moves, and the cells a
+    longer move crosses form a 4-connected chain, so these are the components
+    of a 4-connected flood fill.
+    """
+    _, labels = connected_components(graph.csr, directed=False)
+    best = np.argmax(np.bincount(labels, minlength=1))
+    return [tuple(int(c) for c in graph.vertices[v].pos) for v in np.flatnonzero(labels == best)]
 
 
 def _grid_scenarios(
     grid: GridSpec,
+    graph: RealGraph,
     name: str,
     rng: np.random.Generator,
     count: int,
     entries_each: int,
 ) -> tuple[tuple[ScenarioEntry, ...], ...]:
-    cells = sorted(_largest_component(grid))
+    cells = sorted(_largest_component(graph))
     if len(cells) < 2 * entries_each:
         raise ValueError(f"{name}: component of {len(cells)} cells cannot seat {entries_each} agents")
     scenarios = []
@@ -358,7 +333,7 @@ def _grid_scenarios(
 def desk_suite(
     *,
     seed: int = 0,
-    timeout: float = 10.0,
+    timeout: float = SUITE_TIMEOUT,
     modes: tuple[str, ...] = ("baseline", "tuned"),
     agent_counts: tuple[int, ...] = (2, 4, 8, 12, 16),
     ks: tuple[int, ...] = (3, 4),
@@ -380,19 +355,13 @@ def desk_suite(
     for grid, name in ((empty, "empty-16-16"), (random32, "random-32-32")):
         for k in ks:
             case_rng = np.random.default_rng(seed * 7919 + k * 101 + grid.width)
-            cases.append(
-                MapCase(
-                    name=name,
-                    graph=build_grid_graph(grid, k),
-                    scenarios=_grid_scenarios(grid, name, case_rng, scenarios_per_case, entries_each),
-                    grid=grid,
-                    k=k,
-                )
-            )
+            graph = build_grid_graph(grid, k)
+            scenarios = _grid_scenarios(grid, graph, name, case_rng, scenarios_per_case, entries_each)
+            cases.append(MapCase(name=name, graph=graph, scenarios=scenarios, grid=grid, k=k))
     return ExperimentSpec(
         cases=tuple(cases),
-        agent_counts=agent_counts,
-        modes=modes,
+        agent_counts=tuple(agent_counts),
+        modes=tuple(modes),
         solver=SolveConfig(timeout=timeout),
         seed=seed,
         workers=workers,

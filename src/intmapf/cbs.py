@@ -92,11 +92,11 @@ class SearchStats:
     nodes_generated: int = 0
     nodes_expanded: int = 0
     low_level_calls: int = 0  # plans the high level asked for
-    plans_reused: int = 0  # of those, answered from the solve's memo
     # conflicts split by expanded nodes, by the class that picked them
     picked_cardinal: int = 0
     picked_semi: int = 0
     picked_non: int = 0
+    plans_reused: int = 0  # of low_level_calls, answered from the solve's memo
     wall_time: float = 0.0
 
 

@@ -11,14 +11,15 @@ the chosen subcommand; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .bench import aggregate, desk_suite, plot_data, rows_to_csv, run_suite, summary_to_csv
-from .cbs import Failure, Solution, SolveConfig, serialize_solution, solve
+from .bench import MODES, aggregate, desk_suite, plot_data, rows_to_csv, run_suite, summary_to_csv
+from .cbs import Failure, SearchStats, Solution, SolveConfig, serialize_solution, solve
 from .graph import build_grid_graph, discretize
-from .mapio import ParseError, make_instance, parse_map, parse_roadmap, parse_scen, serialize_roadmap
+from .mapio import ParseError, _cell, make_instance, parse_map, parse_roadmap, parse_scen, serialize_roadmap
 from .tuning import TuneConfig, format_tune_report, tune_graph
 
 __all__ = ["main"]
@@ -41,36 +42,38 @@ def _load_instance(args):
     return make_instance(source, entries, args.agents, k=args.k)
 
 
+def _from_flags(fn, args):
+    """Call fn (a config class, desk_suite) with the parsed flags named after its parameters.
+
+    A parameter with no flag, or whose flag is absent, keeps fn's default.
+    """
+    given = vars(args)
+    return fn(**{p: given[p] for p in inspect.signature(fn).parameters if p in given})
+
+
 def _solve_config(args) -> SolveConfig:
-    return SolveConfig(
-        disjoint=args.disjoint,
-        lazy_pc=args.lazy_pc,
-        timeout=args.timeout,
-        horizon=args.horizon,
-    )
+    return _from_flags(SolveConfig, args)
 
 
 def _tune_config(args) -> TuneConfig:
-    return TuneConfig(
-        s_min=args.s_min, s_max=args.s_max, budget=args.budget,
-        population=args.population, generations=args.generations,
-        delta=args.delta, eval_timeout=args.eval_timeout,
-    )
+    return _from_flags(TuneConfig, args)
+
+
+def _say(name: str, value) -> None:
+    print(f"{name}={_cell(value)}")
 
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args)
     s = args.s
-    if args.baseline:
-        s = 1.0
     if args.tune:
         tuned = tune_graph(inst, _tune_config(args), solve_config=_solve_config(args), seed=args.seed)
         if tuned.best_s is None:
             print("tuning found no successful evaluation", file=sys.stderr)
             return 1
         s = tuned.best_s
-        print(f"s_tuned={s!r}")
-    if s is None:
+        _say("s_tuned", s)
+    if s is None:  # --baseline, or no scale flag
         s = 1.0
     int_inst = replace(inst, graph=discretize(inst.graph, s))
     result = solve(int_inst, _solve_config(args))
@@ -80,7 +83,7 @@ def _cmd_solve(args) -> int:
             Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
-        print(f"makespan={result.makespan}")
+        _say("makespan", result.makespan)
         _print_stats(result.stats, s)
         return 0
     assert isinstance(result, Failure)
@@ -89,16 +92,10 @@ def _cmd_solve(args) -> int:
     return 1
 
 
-def _print_stats(stats, s: float) -> None:
-    print(f"s_used={s!r}")
-    print(f"nodes_generated={stats.nodes_generated}")
-    print(f"nodes_expanded={stats.nodes_expanded}")
-    print(f"low_level_calls={stats.low_level_calls}")
-    print(f"picked_cardinal={stats.picked_cardinal}")
-    print(f"picked_semi={stats.picked_semi}")
-    print(f"picked_non={stats.picked_non}")
-    print(f"plans_reused={stats.plans_reused}")
-    print(f"wall_time={stats.wall_time!r}")
+def _print_stats(stats: SearchStats, s: float) -> None:
+    _say("s_used", s)
+    for f in fields(stats):
+        _say(f.name, getattr(stats, f.name))
 
 
 def _cmd_tune(args) -> int:
@@ -112,21 +109,13 @@ def _cmd_tune(args) -> int:
     if result.best_s is None:
         print("tuning found no successful evaluation", file=sys.stderr)
         return 1
-    print(f"best_s={result.best_s!r}")
+    _say("best_s", result.best_s)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    spec = desk_suite(
-        seed=args.seed,
-        timeout=args.timeout,
-        modes=tuple(args.modes),
-        agent_counts=tuple(args.agents),
-        ks=tuple(args.ks),
-        scenarios_per_case=args.scenarios,
-        workers=args.workers,
-    )
-    if args.fixed_s is not None:
+    spec = _from_flags(desk_suite, args)  # bench's flags are absent unless given
+    if "fixed_s" in vars(args):
         spec = replace(spec, fixed_s=args.fixed_s)
     result = run_suite(spec)
     summaries = aggregate(result.rows)
@@ -137,10 +126,7 @@ def _cmd_bench(args) -> int:
     (out_dir / "success_rate.dat").write_text(plot_data(summaries, "success_rate"))
     (out_dir / "runtime.dat").write_text(plot_data(summaries, "mean_runtime_s"))
     for rec in result.tuning:
-        print(
-            f"tuned map={rec.map} k={rec.k} s={rec.s!r} wall_time={rec.wall_time!r} "
-            f"evaluations={rec.evaluations} fallback={'true' if rec.fallback else 'false'}"
-        )
+        print("tuned", *(f"{f.name}={_cell(getattr(rec, f.name))}" for f in fields(rec)))
     sys.stdout.write(summary_to_csv(summaries))
     print(f"wrote {out_dir / 'results.csv'}")
     return 0
@@ -215,17 +201,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.set_defaults(func=_cmd_tune)
     by_name["tune"] = p
 
-    p = subs.add_parser("bench", help="run the bundled desk-scale suite")
+    p = subs.add_parser("bench", help="run the bundled desk-scale suite", argument_default=argparse.SUPPRESS)
     p.add_argument("--out-dir", default="bench-out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=10.0)
-    p.add_argument("--modes", nargs="+", default=["baseline", "tuned"], choices=("fixed", "baseline", "tuned"))
-    p.add_argument("--fixed-s", type=float, default=None)
-    p.add_argument("--agents", type=int, nargs="+", default=[2, 4, 8, 12, 16])
-    p.add_argument("--ks", type=int, nargs="+", default=[3, 4], choices=(3, 4, 5))
-    p.add_argument("--scenarios", type=int, default=4, help="scenario files per map case")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--config", default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--timeout", type=float, help="solver budget in seconds")
+    p.add_argument("--modes", nargs="+", choices=MODES)
+    p.add_argument("--fixed-s", type=float)
+    p.add_argument("--agents", dest="agent_counts", metavar="N", type=int, nargs="+")
+    p.add_argument("--ks", type=int, nargs="+", choices=(3, 4, 5))
+    p.add_argument("--scenarios", dest="scenarios_per_case", metavar="N", type=int, help="scenario files per map case")
+    p.add_argument("--workers", type=int)
+    p.add_argument("--config")
     p.set_defaults(func=_cmd_bench)
     by_name["bench"] = p
 
@@ -242,7 +228,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser, path: str) -> None:
     """Turn key=value lines into subcommand defaults; flags still override."""
     text = _read(path)
-    by_dest = {a.dest: a for a in sub._actions}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -250,11 +235,10 @@ def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
         if "=" not in line:
             parser.error(f"config {path} line {lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        action = by_dest.get(dest)
-        if action is None or dest in ("help", "config", "func", "command"):
+        action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("help", "config"):
             parser.error(f"config {path} line {lineno}: unknown key {key!r}")
-        sub.set_defaults(**{dest: _coerce(parser, action, key, val, path, lineno)})
+        sub.set_defaults(**{action.dest: _coerce(parser, action, key, val, path, lineno)})
         action.required = False  # a config-provided value satisfies a required flag
 
 

@@ -203,6 +203,15 @@ def serialize_scen(entries: Sequence[ScenarioEntry]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _cell(value) -> str:
+    """One value of a CSV row or a key=value line: floats by repr, bools as true/false, None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def parse_roadmap(text: str) -> RealGraph:
     """Parse the roadmap text format into a RealGraph.
 

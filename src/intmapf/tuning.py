@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from scipy.optimize import minimize
 
 from .cbs import Solution, SolveConfig, solve
 from .graph import RealGraph, discretization_error, discretize, shortest_path
-from .mapio import Instance
+from .mapio import Instance, _cell
 from .nsga import fast_nondominated_sort, nsga2_evolve
 
 __all__ = [
@@ -442,13 +442,6 @@ def format_tune_report(result: TuneResult) -> str:
     lcb, score and the surrogate's fitted ell, sf2 and sn2 are empty on
     bootstrap rows.
     """
-    lines = ["t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2"]
-    for r in result.records:
-        picked = [r.lcb, r.score, r.ell, r.sf2, r.sn2]
-        lines.append(
-            ",".join(
-                [str(r.t), repr(r.s), repr(r.runtime), repr(r.error), "true" if r.success else "false"]
-                + ["" if v is None else repr(v) for v in picked]
-            )
-        )
+    lines = ["t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2"]  # runtime_s holds the runtime field
+    lines += [",".join(map(_cell, astuple(r))) for r in result.records]
     return "\n".join(lines) + "\n"

@@ -89,6 +89,29 @@ def admissible_grid_edges(passable: dict[tuple[int, int], bool], offsets) -> set
     return edges
 
 
+def largest_component_flood(grid) -> list[tuple[int, int]]:
+    """Cells of the largest 4-connected region; on a tie the first one a row-major scan meets."""
+    seen: set[tuple[int, int]] = set()
+    best: list[tuple[int, int]] = []
+    for y in range(grid.height):
+        for x in range(grid.width):
+            if not grid.is_passable(x, y) or (x, y) in seen:
+                continue
+            comp = [(x, y)]
+            seen.add((x, y))
+            queue = [(x, y)]
+            while queue:
+                cx, cy = queue.pop()
+                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
+                    if grid.is_passable(nx, ny) and (nx, ny) not in seen:
+                        seen.add((nx, ny))
+                        comp.append((nx, ny))
+                        queue.append((nx, ny))
+            if len(comp) > len(best):
+                best = comp
+    return best
+
+
 # ---------------------------------------------------------------------------
 # textbook shortest paths, independent of the package's dijkstra
 

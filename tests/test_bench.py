@@ -16,7 +16,6 @@ from intmapf import (
     MapCase,
     ResultRow,
     SolveConfig,
-    TuneConfig,
     aggregate,
     desk_suite,
     run_suite,
@@ -25,12 +24,15 @@ from intmapf.bench import (
     ROW_HEADER,
     SUMMARY_HEADER,
     SuiteResult,
+    _largest_component,
     plot_data,
     rows_to_csv,
     summary_to_csv,
 )
 from intmapf.graph import GridSpec, RealGraph, Vertex, build_grid_graph
 from intmapf.mapio import ScenarioEntry
+
+from oracles import largest_component_flood
 
 
 def _octile(a, b):
@@ -85,7 +87,7 @@ def test_mini_suite_rows_and_order():
         assert r.success
         assert isinstance(r.makespan, int) and r.makespan >= 1
         assert r.s_used == (0.5 if r.mode == "fixed" else 1.0)
-        assert r.ct_nodes >= 1 and r.ll_calls >= r.n_agents
+        assert r.nodes_expanded >= 1 and r.ll_calls >= r.n_agents
         assert r.error is not None and r.error >= 0.0
 
 
@@ -97,7 +99,7 @@ def test_mini_suite_repeats_identically_except_runtime():
     b = run_suite(spec).rows
     strip = lambda r: (
         r.map, r.k, r.n_agents, r.scenario, r.mode, r.success,
-        r.makespan, r.ct_nodes, r.ll_calls, r.s_used, r.error,
+        r.makespan, r.nodes_expanded, r.ll_calls, r.s_used, r.error,
     )
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
@@ -107,7 +109,7 @@ def test_worker_pool_gives_the_serial_rows_in_order():
     spec = ExperimentSpec(cases=cases, agent_counts=(1, 2), modes=("fixed", "baseline"), fixed_s=0.5)
     strip = lambda r: (
         r.map, r.k, r.n_agents, r.scenario, r.mode, r.success,
-        r.makespan, r.ct_nodes, r.ll_calls, r.s_used, r.error,
+        r.makespan, r.nodes_expanded, r.ll_calls, r.s_used, r.error,
     )
     serial = [strip(r) for r in run_suite(spec).rows]
     assert [strip(r) for r in run_suite(replace(spec, workers=2)).rows] == serial
@@ -159,13 +161,12 @@ def test_tuned_mode_reuses_one_tuning_run():
         agent_counts=(2,),
         modes=("tuned",),
         solver=SolveConfig(timeout=5.0),
-        tune=TuneConfig(s_min=0.5, s_max=2.0, budget=4, population=8, generations=3, restarts=2),
     )
     out = run_suite(spec)
     assert len(out.tuning) == 1
     rec = out.tuning[0]
     assert rec.map == "empty-4-4" and rec.k == 3
-    assert rec.evaluations == 4
+    assert rec.evaluations == 6  # the suite's tuning budget
     assert not rec.fallback
     assert all(r.s_used == rec.s for r in out.rows)
     assert all(r.success for r in out.rows)
@@ -281,3 +282,26 @@ def test_desk_suite_is_seed_stable():
         assert ca.grid == cb.grid
     c = desk_suite(seed=6)
     assert any(ca.scenarios != cc.scenarios for ca, cc in zip(a.cases, c.cases))
+
+
+def test_largest_component_matches_the_flood_fill():
+    # the graph's components are the 4-connected regions, and on a tie both
+    # pick the region holding the first passable cell in row-major order
+    rng = np.random.default_rng(13)
+    split = GridSpec(5, 3, tuple(x != 2 for _ in range(3) for x in range(5)))
+    grids = [split, GridSpec(3, 2, (False,) * 6)]
+    for _ in range(150):
+        w, h = (int(v) for v in rng.integers(1, 9, size=2))
+        grids.append(GridSpec(w, h, tuple(bool(b) for b in rng.random(w * h) >= rng.uniform(0.2, 0.6))))
+    ties = 0
+    for grid in grids:
+        want = largest_component_flood(grid)
+        for k in (3, 4, 5):
+            assert sorted(_largest_component(build_grid_graph(grid, k))) == sorted(want), (grid, k)
+        taken = set(want)
+        rest = GridSpec(grid.width, grid.height, tuple(
+            p and (i % grid.width, i // grid.width) not in taken for i, p in enumerate(grid.passable)
+        ))
+        ties += bool(want) and len(largest_component_flood(rest)) == len(want)
+    assert ties >= 10
+    assert _largest_component(build_grid_graph(split, 3)) == [(x, y) for y in range(3) for x in range(2)]

@@ -5,16 +5,18 @@ printed contract: solution lines and stats for solve, the report CSV for
 tune, written artifacts for bench, byte-stable text for convert.
 """
 
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from intmapf import cli
-from intmapf.cbs import SolveConfig
+from intmapf.bench import ResultRow, SuiteResult, TuningRecord, aggregate, desk_suite, plot_data, rows_to_csv, summary_to_csv
+from intmapf.cbs import Failure, SearchStats, SolveConfig
 from intmapf.cli import main
 from intmapf.graph import build_grid_graph
 from intmapf.mapio import parse_map, parse_roadmap, serialize_roadmap
-from intmapf.tuning import TuneConfig
+from intmapf.tuning import IterationRecord, TuneConfig, TuneResult, format_tune_report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MAP = str(FIXTURES / "tiny.map")
@@ -54,8 +56,7 @@ def test_solve_grid_success(capsys):
     assert "s_used=1.0" in out
     assert "nodes_expanded=" in out and "low_level_calls=" in out
     names = [line.split("=")[0] for line in out.splitlines() if "=" in line]
-    i = names.index("low_level_calls")
-    assert names[i + 1 : i + 5] == ["picked_cardinal", "picked_semi", "picked_non", "plans_reused"]
+    assert names[names.index("s_used") + 1 :] == [f.name for f in fields(SearchStats)]
     assert int(out.split("plans_reused=")[1].split()[0]) >= 0
 
 
@@ -151,6 +152,16 @@ def test_flags_left_out_build_the_config_defaults(monkeypatch):
     with pytest.raises(Stop):
         main(["tune", "--map", MAP, "--scen", SCEN, "--agents", "1", "--s-min", "0.5", "--s-max", "2.0"])
     assert seen["tune"] == (TuneConfig(s_min=0.5, s_max=2.0), SolveConfig())
+
+
+def test_every_config_field_has_a_flag():
+    # the configs are built from the flags named after their fields, so a
+    # field without a flag would silently keep its default
+    _, by_name = cli._build_parser()
+    for command in ("solve", "tune"):
+        dests = {a.dest for a in by_name[command]._actions}
+        assert {f.name for f in fields(SolveConfig)} <= dests, command
+        assert {f.name for f in fields(TuneConfig)} - {"restarts"} <= dests, command
 
 
 # ---------------------------------------------------------------- config file
@@ -269,6 +280,123 @@ def test_bench_writes_artifacts(tmp_path, capsys):
     assert (out_dir / "success_rate.dat").exists()
     assert (out_dir / "runtime.dat").exists()
     assert "wrote" in out and "summary" not in out.splitlines()[0]
+
+
+def _bench_spec(monkeypatch, argv):
+    """The ExperimentSpec `intmapf bench argv` would run."""
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def recording_run_suite(spec):
+        seen.append(spec)
+        raise Stop
+
+    monkeypatch.setattr(cli, "run_suite", recording_run_suite)
+    with pytest.raises(Stop):
+        main(["bench", *argv])
+    return seen[0]
+
+
+def _spec_key(spec):
+    return (
+        spec.agent_counts, spec.modes, spec.fixed_s, spec.solver, spec.seed, spec.workers,
+        [(c.name, c.k, c.scenarios) for c in spec.cases],
+    )
+
+
+def test_bench_defaults_come_from_desk_suite(tmp_path, monkeypatch):
+    assert _spec_key(_bench_spec(monkeypatch, [])) == _spec_key(desk_suite())
+    cfg = _write(tmp_path, "bench.cfg", "timeout = 2.5\nagents = 3 5\nscenarios = 2\nks = 5\nfixed_s = 0.5\n")
+    from_file = replace(desk_suite(timeout=2.5, agent_counts=(3, 5), scenarios_per_case=2, ks=(5,)), fixed_s=0.5)
+    assert _spec_key(_bench_spec(monkeypatch, ["--config", cfg])) == _spec_key(from_file)
+    flags = ["--timeout", "4.0", "--agents", "2", "--modes", "fixed", "--seed", "3", "--workers", "2"]
+    assert _spec_key(_bench_spec(monkeypatch, flags)) == _spec_key(
+        desk_suite(timeout=4.0, agent_counts=(2,), modes=("fixed",), seed=3, workers=2)
+    )
+    # an explicit flag beats the file; the file's other keys still apply
+    mixed = _bench_spec(monkeypatch, ["--config", cfg, "--timeout", "4.0", "--agents", "2"])
+    assert _spec_key(mixed) == _spec_key(
+        replace(desk_suite(timeout=4.0, agent_counts=(2,), scenarios_per_case=2, ks=(5,)), fixed_s=0.5)
+    )
+
+
+# ---------------------------------------------------------------- golden text
+
+# hand-made records and, byte for byte, the text the hand-written writers
+# printed for them before the writers followed the dataclass fields; the one
+# difference is the results.csv column ct_nodes, now nodes_expanded
+_GOLDEN_ROWS = (
+    ResultRow("line-3", None, 2, 0, "baseline", True, 4, 0.125, 3, 7, 1.0, 0.0),
+    ResultRow("m", 3, 4, 1, "tuned", True, 10, 0.5, 5, 9, 0.7071067811865476, 1.2345678901234567),
+    ResultRow("m", 3, 4, 2, "tuned", False, None, 10.000123, 12345, 67890, 0.7071067811865476, None),
+    ResultRow("m", 4, 8, 0, "fixed", False, None, 1.5, 2, 3, 0.5, None),
+)
+_GOLDEN_TUNING = (
+    TuningRecord("m", 3, 0.8660254037844386, 1.2345, 6, False),
+    TuningRecord("empty-16-16", 4, 1.0, 0.5, 6, True),
+)
+_GOLDEN_RESULTS_CSV = (
+    "map,k,n_agents,scenario,mode,success,makespan,runtime_s,nodes_expanded,ll_calls,s_used,error\n"
+    "line-3,,2,0,baseline,true,4,0.125,3,7,1.0,0.0\n"
+    "m,3,4,1,tuned,true,10,0.5,5,9,0.7071067811865476,1.2345678901234567\n"
+    "m,3,4,2,tuned,false,,10.000123,12345,67890,0.7071067811865476,\n"
+    "m,4,8,0,fixed,false,,1.5,2,3,0.5,\n"
+)
+_GOLDEN_SUMMARY_CSV = (
+    "map,k,mode,n_agents,success_rate,mean_runtime_s,makespan_q1,makespan_median,makespan_q3\n"
+    "line-3,,baseline,2,100.0,0.125,4.0,4.0,4.0\n"
+    "m,3,tuned,4,50.0,0.5,10.0,10.0,10.0\n"
+    "m,4,fixed,8,0.0,--,--,--,--\n"
+)
+_GOLDEN_SUCCESS_DAT = "2 100.0 line-3-baseline\n4 50.0 m-k3-tuned\n8 0.0 m-k4-fixed\n"
+_GOLDEN_RUNTIME_DAT = "2 0.125 line-3-baseline\n4 0.5 m-k3-tuned\n"
+
+
+def test_writers_match_the_golden_text():
+    summaries = aggregate(_GOLDEN_ROWS)
+    assert rows_to_csv(_GOLDEN_ROWS) == _GOLDEN_RESULTS_CSV
+    assert summary_to_csv(summaries) == _GOLDEN_SUMMARY_CSV
+    assert plot_data(summaries, "success_rate") == _GOLDEN_SUCCESS_DAT
+    assert plot_data(summaries, "mean_runtime_s") == _GOLDEN_RUNTIME_DAT
+    records = (
+        IterationRecord(1, 0.5, 0.0123, 2.5, True, None, None, None, None, None),
+        IterationRecord(4, 0.8660254037844386, 0.01, 1.25, False, -0.3, 0.75, 0.42, 1.7, 1e-08),
+    )
+    assert format_tune_report(TuneResult(0.5, (), records, (), ())) == (
+        "t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2\n"
+        "1,0.5,0.0123,2.5,true,,,,,\n"
+        "4,0.8660254037844386,0.01,1.25,false,-0.3,0.75,0.42,1.7,1e-08\n"
+    )
+
+
+def test_solve_stat_lines_match_the_golden_text(monkeypatch, capsys):
+    stats = SearchStats(
+        nodes_generated=12, nodes_expanded=5, low_level_calls=20, plans_reused=3,
+        picked_cardinal=2, picked_semi=1, picked_non=1, wall_time=0.015625,
+    )
+    monkeypatch.setattr(cli, "solve", lambda inst, config=None: Failure("timeout", stats))
+    assert main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1", "--s", "0.5"]) == 1
+    assert capsys.readouterr().out == (
+        "s_used=0.5\nnodes_generated=12\nnodes_expanded=5\nlow_level_calls=20\npicked_cardinal=2\n"
+        "picked_semi=1\npicked_non=1\nplans_reused=3\nwall_time=0.015625\n"
+    )
+
+
+def test_bench_output_matches_the_golden_text(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", lambda spec: SuiteResult(_GOLDEN_ROWS, _GOLDEN_TUNING))
+    assert main(["bench", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "tuned map=m k=3 s=0.8660254037844386 wall_time=1.2345 evaluations=6 fallback=false\n"
+        "tuned map=empty-16-16 k=4 s=1.0 wall_time=0.5 evaluations=6 fallback=true\n"
+        + _GOLDEN_SUMMARY_CSV
+        + f"wrote {tmp_path / 'results.csv'}\n"
+    )
+    assert (tmp_path / "results.csv").read_text() == _GOLDEN_RESULTS_CSV
+    assert (tmp_path / "summary.csv").read_text() == _GOLDEN_SUMMARY_CSV
+    assert (tmp_path / "success_rate.dat").read_text() == _GOLDEN_SUCCESS_DAT
+    assert (tmp_path / "runtime.dat").read_text() == _GOLDEN_RUNTIME_DAT
 
 
 # ---------------------------------------------------------------- convert
