@@ -1,8 +1,8 @@
 """Conflict-based search over integer-weighted graphs with timed traversals.
 
 The high level runs best-first search on a binary constraint tree.  Each node
-stands for a constraint set and holds one optimal plan per agent under it;
-expanding a node splits on one conflict between two plans.  A vertex conflict
+holds constraints and one optimal plan per agent under them; expanding a
+node splits on one conflict between two plans.  A vertex conflict
 splits into two negative vertex constraints, or, with disjoint splitting
 enabled, into a positive constraint for one agent (every other agent then
 inherits it as a negative) and the matching negative.  An edge conflict always
@@ -18,12 +18,13 @@ With lazy_pc=1 the earliest conflict is the only candidate, so nothing is
 prioritized.  Classifying builds both children, so the picked conflict's
 children go onto the open list as they are.
 
-A low-level plan depends on the constraint set only through what binds its
-agent (sipp.binding_constraints): the agent's own negatives and every
-positive.  A child re-classifies conflicts between agents its split did not
-touch, so the same request recurs; within one solve each distinct (agent,
-binding) pair is planned once and repeats are answered from a memo, which
-SearchStats.plans_reused counts.  low_level_calls counts every request.
+A node keeps one constraint set per agent, holding the agent's own negatives
+and every positive, which is all that binds its plan; a child shares every
+set its new constraint does not bind.  A child re-classifies conflicts
+between agents its split did not touch, so the same request recurs; within
+one solve each distinct (agent, set) pair is planned once and repeats are
+answered from a memo, which SearchStats.plans_reused counts.
+low_level_calls counts every request.
 SIPP is guided by each agent's exact distance to its goal, computed once per
 solve and goal by graph.dijkstra, one scipy.sparse.csgraph run each.
 
@@ -46,7 +47,7 @@ from typing import Sequence
 
 from .graph import IntGraph, dijkstra
 from .mapio import Instance
-from .sipp import EMPTY_CONSTRAINTS, Binding, ConstraintSet, TimedPlan, binding_constraints, sipp_plan
+from .sipp import EMPTY_CONSTRAINTS, ConstraintSet, TimedPlan, sipp_plan
 
 __all__ = [
     "Conflict",
@@ -81,7 +82,7 @@ class Conflict:
 
 @dataclass(frozen=True)
 class CTNode:
-    constraints: ConstraintSet
+    constraints: tuple[ConstraintSet, ...]  # entry a: agent a's negatives and every positive
     plans: tuple[TimedPlan, ...]
     cost: int  # makespan of the plans
     soc: int  # sum of their costs
@@ -231,7 +232,7 @@ class _Ctx:
         self.config = config
         self.deadline = deadline
         self.stats = SearchStats()
-        self.memo: dict[tuple[int, Binding], TimedPlan | None] = {}
+        self.memo: dict[tuple[int, ConstraintSet], TimedPlan | None] = {}
         self.dist = [dijkstra(graph, g) for g in goals]
         if config.horizon is not None:
             self.horizon = config.horizon
@@ -249,7 +250,7 @@ class _Ctx:
 
     def plan(self, agent: int, constraints: ConstraintSet) -> TimedPlan | None:
         self.stats.low_level_calls += 1
-        key = (agent, binding_constraints(constraints, agent))
+        key = (agent, constraints)
         if key in self.memo:
             self.stats.plans_reused += 1
             return self.memo[key]
@@ -284,7 +285,7 @@ def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan]) -
     return sorted(agents)
 
 
-def _node(constraints: ConstraintSet, plans: tuple[TimedPlan, ...]) -> CTNode:
+def _node(constraints: tuple[ConstraintSet, ...], plans: tuple[TimedPlan, ...]) -> CTNode:
     return CTNode(constraints, plans, max(p.cost for p in plans), sum(p.cost for p in plans))
 
 
@@ -293,16 +294,20 @@ def _children(ctx: _Ctx, node: CTNode, conflict: Conflict) -> tuple[CTNode | Non
     children: list[CTNode | None] = []
     for delta in make_branch_constraints(conflict, ctx.config.disjoint):
         ctx.check_deadline()
-        constraints = node.constraints.union(delta)
+        replan = _replan_agents(delta, node.plans)
+        constraints = list(node.constraints)
+        # a delta is one constraint: a negative binds only its agent (the one replanned), a positive all
+        for a in range(len(constraints)) if delta.pos_vertex else replan:
+            constraints[a] = constraints[a].union(delta)
         plans = list(node.plans)
-        for a in _replan_agents(delta, node.plans):
-            p = ctx.plan(a, constraints)
+        for a in replan:
+            p = ctx.plan(a, constraints[a])
             if p is None:
                 children.append(None)
                 break
             plans[a] = p
         else:
-            children.append(_node(constraints, tuple(plans)))
+            children.append(_node(tuple(constraints), tuple(plans)))
     return tuple(children)
 
 
@@ -363,7 +368,7 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             if p is None:
                 return finish(Failure("exhausted", ctx.stats))
             root_plans.append(p)
-        root = _node(EMPTY_CONSTRAINTS, tuple(root_plans))
+        root = _node((EMPTY_CONSTRAINTS,) * instance.n_agents, tuple(root_plans))
         ctx.stats.nodes_generated += 1
         # the unique tick settles every tie, so nodes themselves are never compared
         tick = 0

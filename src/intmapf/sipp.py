@@ -13,6 +13,9 @@ Constraints restrict a single agent:
   - positive vertex (agent, v, t): the agent must occupy v at time t.  For
     every other agent this acts as a negative vertex constraint, which is how
     disjoint splitting shares one constraint between both branch children.
+So one agent is bound by its own negatives and every positive.  The planner
+reads nothing else of a set, so a set holding just that part, as CBS keeps
+one per agent, plans the same as any larger set.
 
 Search states are (vertex, safe-interval index, waypoint index).  The
 waypoint index is the number of the agent's own positive constraints due by
@@ -37,8 +40,6 @@ __all__ = [
     "ConstraintSet",
     "TimedPlan",
     "SafeTable",
-    "Binding",
-    "binding_constraints",
     "build_safe_intervals",
     "sipp_plan",
 ]
@@ -80,9 +81,6 @@ class ConstraintSet:
             self.neg_edge | other.neg_edge,
             self.pos_vertex | other.pos_vertex,
         )
-
-    def is_empty(self) -> bool:
-        return not (self.neg_vertex or self.neg_edge or self.pos_vertex)
 
 
 EMPTY_CONSTRAINTS = ConstraintSet()
@@ -161,41 +159,20 @@ class SafeTable:
         return worst
 
 
-class Binding(NamedTuple):
-    """The part of a constraint set that binds one agent.
-
-    build_safe_intervals reads nothing else of the set, so two sets with equal
-    bindings give the agent equal plans on a fixed graph, start, goal,
-    horizon and heuristic.
-    """
-
-    neg_vertex: frozenset[tuple[int, int]]  # the agent's own bans, as (v, t)
-    neg_edge: frozenset[tuple[tuple[int, int], tuple[int, int]]]  # own ((u, v), (t1, t2))
-    pos_vertex: frozenset[VertexConstraint]  # every agent's: own are waypoints, others' bans
-
-
-def binding_constraints(constraints: ConstraintSet, agent: int) -> Binding:
-    """Project a constraint set onto what binds one agent."""
-    return Binding(
-        frozenset((v, t) for a, v, t in constraints.neg_vertex if a == agent),
-        frozenset((e, span) for a, e, span in constraints.neg_edge if a == agent),
-        constraints.pos_vertex,
-    )
-
-
 def build_safe_intervals(constraints: ConstraintSet, agent: int) -> SafeTable:
     """Compile the constraints that bind one agent into a SafeTable.
 
-    Banned (v, t) pairs are the agent's negative vertex constraints plus every
-    other agent's positive ones.  Bans split a vertex's timeline into maximal
-    safe intervals sorted by start; the final interval is always unbounded.
+    Other agents' negatives are skipped.  Banned (v, t) pairs are the agent's
+    negative vertex constraints plus every other agent's positive ones.  Bans
+    split a vertex's timeline into maximal safe intervals sorted by start;
+    the final interval is always unbounded.
     """
-    own = binding_constraints(constraints, agent)
     banned: dict[int, set[int]] = {}
-    for v, t in own.neg_vertex:
-        banned.setdefault(v, set()).add(t)
+    for a, v, t in constraints.neg_vertex:
+        if a == agent:
+            banned.setdefault(v, set()).add(t)
     waypoints: list[tuple[int, int]] = []
-    for a, v, t in own.pos_vertex:
+    for a, v, t in constraints.pos_vertex:
         if a == agent:
             waypoints.append((t, v))
         else:
@@ -211,8 +188,9 @@ def build_safe_intervals(constraints: ConstraintSet, agent: int) -> SafeTable:
         spans.append(SafeInterval(cur, math.inf))
         vertex_intervals[v] = tuple(spans)
     edge_forbidden: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for e, span in own.neg_edge:
-        edge_forbidden.setdefault(e, []).append(span)
+    for a, e, span in constraints.neg_edge:
+        if a == agent:
+            edge_forbidden.setdefault(e, []).append(span)
     return SafeTable(
         vertex_intervals,
         {e: tuple(sorted(spans)) for e, spans in edge_forbidden.items()},

@@ -147,6 +147,15 @@ def discretization_error_loop(g, s: float, paths) -> float:
 # ---------------------------------------------------------------------------
 # constraint semantics, re-derived: replay and time-expanded optimum
 
+def binding(constraints: ConstraintSet, agent: int):
+    """What of a constraint set binds one agent: own vertex bans as (v, t), own edge bans, every positive."""
+    return (
+        frozenset((v, t) for a, v, t in constraints.neg_vertex if a == agent),
+        frozenset((e, span) for a, e, span in constraints.neg_edge if a == agent),
+        constraints.pos_vertex,
+    )
+
+
 def _agent_tables(constraints: ConstraintSet, agent: int):
     banned: set[tuple[int, int]] = set()
     for a, v, t in constraints.neg_vertex:

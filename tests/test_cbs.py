@@ -32,9 +32,8 @@ from intmapf import (
 from intmapf import cbs
 from intmapf.cbs import SearchStats, classify_conflict, make_branch_constraints
 from intmapf.graph import RealGraph
-from intmapf.sipp import binding_constraints
 
-from oracles import first_conflicts, joint_optimal_makespan
+from oracles import binding, first_conflicts, joint_optimal_makespan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -425,7 +424,7 @@ def test_each_binding_constraint_set_is_planned_once(monkeypatch):
     original = cbs.sipp_plan
 
     def recorder(graph, start, goal, constraints, agent, **kw):
-        recorded.append((agent, binding_constraints(constraints, agent)))
+        recorded.append((agent, binding(constraints, agent)))
         return original(graph, start, goal, constraints, agent, **kw)
 
     monkeypatch.setattr(cbs, "sipp_plan", recorder)
@@ -440,6 +439,34 @@ def test_each_binding_constraint_set_is_planned_once(monkeypatch):
             assert len(recorded) == st.low_level_calls - st.plans_reused, where
             reused_somewhere |= st.plans_reused > 0
     assert reused_somewhere
+
+
+def test_each_node_keeps_one_constraint_set_per_agent(monkeypatch):
+    # Entry a of a node's constraints holds agent a's own negatives and every
+    # positive, so all entries share one positive set.
+    nodes = []
+    original = cbs._node
+
+    def recorder(constraints, plans):
+        nodes.append(constraints)
+        return original(constraints, plans)
+
+    monkeypatch.setattr(cbs, "_node", recorder)
+    positives_seen = False
+    for case, inst in _pinned_cases():
+        for name, cfg in _PINNED_CONFIGS.items():
+            nodes.clear()
+            assert isinstance(solve(inst, cfg), Solution)
+            assert nodes, (case["starts"], name)
+            for constraints in nodes:
+                where = (case["starts"], name, constraints)
+                assert len(constraints) == inst.n_agents, where
+                for a, cs in enumerate(constraints):
+                    assert {c[0] for c in cs.neg_vertex} <= {a}, where
+                    assert {c[0] for c in cs.neg_edge} <= {a}, where
+                assert len({cs.pos_vertex for cs in constraints}) == 1, where
+                positives_seen |= bool(constraints[0].pos_vertex)
+    assert positives_seen
 
 
 def test_solve_is_deterministic():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from intmapf import ConstraintSet, IntGraph, Instance, Solution, SolveConfig, Vertex, sipp_plan, solve
 from intmapf.cbs import validate_solution
-from intmapf.sipp import binding_constraints
 
 import oracles
 
@@ -73,27 +72,28 @@ def test_sipp_matches_time_expanded_optimum(case):
 @PROPERTY
 @given(sipp_cases(), st.data())
 def test_other_agents_negatives_never_change_a_plan(case, data):
-    # the premise of CBS's low-level memo: a plan depends on a constraint set
-    # only through binding_constraints, which drops other agents' negatives
+    # the premise of CBS's per-agent constraint sets and its low-level memo:
+    # a plan depends on a constraint set only through what binds the agent,
+    # so other agents' negatives never change it
     g, start, goal, cs = case
     vertex = st.integers(0, g.n - 1)
     time = st.integers(0, 10)
     bans = data.draw(st.lists(st.tuples(st.integers(1, 2), vertex, time), max_size=6))
     edge_bans = _edge_bans(data.draw, g, st.integers(1, 2), max_size=4)
     more = ConstraintSet(cs.neg_vertex | (frozenset(bans) - cs.pos_vertex), cs.neg_edge | frozenset(edge_bans), cs.pos_vertex)
-    assert binding_constraints(more, 0) == binding_constraints(cs, 0)
+    assert oracles.binding(more, 0) == oracles.binding(cs, 0)
     for horizon in (None, 20):
         assert sipp_plan(g, start, goal, more, 0, horizon=horizon) == sipp_plan(g, start, goal, cs, 0, horizon=horizon)
 
 
 def test_other_agents_positive_on_the_only_path_changes_the_plan():
     # another agent's positive constraint bans the vertex for this one, so
-    # the memo's key has to keep every positive constraint
+    # each agent's constraint set, the memo's key, has to keep every positive
     g = IntGraph([Vertex(i, (float(i), 0.0)) for i in range(3)], [(0, 1, 1), (1, 2, 1)])
     free = sipp_plan(g, 0, 2, ConstraintSet(), 0)
     assert free is not None and free.steps == ((0, 0), (1, 1), (2, 2))
     cs = ConstraintSet(pos_vertex=frozenset({(1, 1, 1)}))
-    assert binding_constraints(cs, 0) != binding_constraints(ConstraintSet(), 0)
+    assert oracles.binding(cs, 0) != oracles.binding(ConstraintSet(), 0)
     plan = sipp_plan(g, 0, 2, cs, 0)
     assert plan is not None and plan.steps == ((0, 0), (0, 1), (1, 2), (2, 3))
 

@@ -43,8 +43,7 @@ def test_constraint_set_validation():
     with pytest.raises(ValueError, match="t1 < t2"):
         ConstraintSet(neg_edge=frozenset({(0, (0, 1), (3, 3))}))
     cs = _neg_v((0, 1, 2)).union(ConstraintSet(neg_edge=frozenset({(0, (0, 1), (0, 2))})))
-    assert not cs.is_empty()
-    assert EMPTY_CONSTRAINTS.is_empty()
+    assert cs == ConstraintSet(frozenset({(0, 1, 2)}), frozenset({(0, (0, 1), (0, 2))}))
 
 
 def test_timed_plan_validation():
