@@ -127,6 +127,14 @@ class SolveConfig:
     timeout: float | None = None  # seconds
     horizon: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.lazy_pc is not None and self.lazy_pc < 1:
+            raise ValueError(f"lazy_pc must be None or >= 1, got {self.lazy_pc}")
+        if self.timeout is not None and not self.timeout >= 0:
+            raise ValueError(f"timeout must be None or >= 0, got {self.timeout}")
+        if self.horizon is not None and not self.horizon >= 0:
+            raise ValueError(f"horizon must be None or >= 0, got {self.horizon}")
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -350,8 +358,6 @@ def solve(instance: Instance, config: SolveConfig | None = None):
         config = SolveConfig()
     if not isinstance(instance.graph, IntGraph):
         raise TypeError("solve needs an IntGraph instance; discretize the graph first")
-    if config.lazy_pc is not None and config.lazy_pc < 1:
-        raise ValueError(f"lazy_pc must be None or >= 1, got {config.lazy_pc}")
     t0 = _time.perf_counter()
     deadline = t0 + config.timeout if config.timeout is not None else None
     ctx = _Ctx(instance.graph, instance.starts, instance.goals, config, deadline)

@@ -51,14 +51,6 @@ def _from_flags(fn, args):
     return fn(**{p: given[p] for p in inspect.signature(fn).parameters if p in given})
 
 
-def _solve_config(args) -> SolveConfig:
-    return _from_flags(SolveConfig, args)
-
-
-def _tune_config(args) -> TuneConfig:
-    return _from_flags(TuneConfig, args)
-
-
 def _say(name: str, value) -> None:
     print(f"{name}={_cell(value)}")
 
@@ -67,7 +59,9 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args)
     s = args.s
     if args.tune:
-        tuned = tune_graph(inst, _tune_config(args), solve_config=_solve_config(args), seed=args.seed)
+        tuned = tune_graph(
+            inst, _from_flags(TuneConfig, args), solve_config=_from_flags(SolveConfig, args), seed=args.seed
+        )
         if tuned.best_s is None:
             print("tuning found no successful evaluation", file=sys.stderr)
             return 1
@@ -76,7 +70,7 @@ def _cmd_solve(args) -> int:
     if s is None:  # --baseline, or no scale flag
         s = 1.0
     int_inst = replace(inst, graph=discretize(inst.graph, s))
-    result = solve(int_inst, _solve_config(args))
+    result = solve(int_inst, _from_flags(SolveConfig, args))
     if isinstance(result, Solution):
         text = serialize_solution(result)
         if args.out:
@@ -100,7 +94,9 @@ def _print_stats(stats: SearchStats, s: float) -> None:
 
 def _cmd_tune(args) -> int:
     inst = _load_instance(args)
-    result = tune_graph(inst, _tune_config(args), solve_config=_solve_config(args), seed=args.seed)
+    result = tune_graph(
+        inst, _from_flags(TuneConfig, args), solve_config=_from_flags(SolveConfig, args), seed=args.seed
+    )
     report = format_tune_report(result)
     if args.out:
         Path(args.out).write_text(report)
@@ -142,14 +138,13 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _add_map_flags(p: argparse.ArgumentParser, need_agents: bool = True) -> None:
+def _add_map_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--map", help="grid map file (Moving AI layout)")
     src.add_argument("--roadmap", help="roadmap graph file")
     p.add_argument("--scen", required=True, help="scenario file")
     p.add_argument("--k", type=int, default=3, choices=(3, 4, 5), help="grid neighborhood exponent")
-    if need_agents:
-        p.add_argument("--agents", type=int, required=True, help="number of agents (scenario prefix)")
+    p.add_argument("--agents", type=int, required=True, help="number of agents (scenario prefix)")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:

@@ -17,6 +17,10 @@ So one agent is bound by its own negatives and every positive.  The planner
 reads nothing else of a set, so a set holding just that part, as CBS keeps
 one per agent, plans the same as any larger set.
 
+build_safe_intervals compiles that part into a SafeTable, plain data that
+the planner reads directly: each banned vertex's safe intervals, each
+directed edge's forbidden spans, and the agent's own positives as waypoints.
+
 Search states are (vertex, safe-interval index, waypoint index).  The
 waypoint index is the number of the agent's own positive constraints due by
 the state's arrival time; every move that reaches a state has already been
@@ -31,7 +35,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import IntGraph, dijkstra
 
@@ -110,62 +114,47 @@ class TimedPlan:
     def vertices(self) -> list[int]:
         return [v for v, _ in self.steps]
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
+class SafeTable(NamedTuple):
+    """One agent's constraints, compiled for the planner.
+
+    vertex maps each vertex with a ban to its safe intervals, sorted by start
+    and ending in an unbounded one; a vertex it does not list is free.  edge
+    maps a directed edge (u, v) to its forbidden open spans (t1, t2), sorted.
+    waypoints holds the agent's own positives as (t, v), sorted.
+    """
+
+    vertex: dict[int, tuple[SafeInterval, ...]]
+    edge: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    waypoints: tuple[tuple[int, int], ...]
 
 
-class SafeTable:
-    """Per-agent view of a constraint set, ready for interval queries."""
+_FREE = (SafeInterval(0, math.inf),)  # the safe intervals of a vertex with no ban
 
-    def __init__(
-        self,
-        vertex_intervals: dict[int, tuple[SafeInterval, ...]],
-        edge_forbidden: dict[tuple[int, int], tuple[tuple[int, int], ...]],
-        waypoints: tuple[tuple[int, int], ...],
-    ):
-        self._vertex = vertex_intervals
-        self._edge = edge_forbidden
-        self.has_edge_bans = bool(edge_forbidden)
-        self.waypoints = waypoints  # (t, v), sorted by t
 
-    _FREE = (SafeInterval(0, math.inf),)
+def edge_block_end(spans: Sequence[tuple[int, int]], w: int, d: int) -> int | None:
+    """None if a weight-w traversal departing at d clears spans, else the earliest retry time.
 
-    def vertex_intervals(self, v: int) -> tuple[SafeInterval, ...]:
-        return self._vertex.get(v, self._FREE)
-
-    def interval_index(self, v: int, t: int) -> int | None:
-        """Index of the safe interval of v containing time t, or None."""
-        for i, (lo, hi) in enumerate(self.vertex_intervals(v)):
-            if lo <= t < hi:
-                return i
-            if lo > t:
-                break
-        return None
-
-    def edge_block_end(self, u: int, v: int, w: int, d: int) -> int | None:
-        """None if departing u -> v at d is allowed, else the earliest retry time.
-
-        A forbidden interval (t1, t2) blocks d when (d, d+w) and (t1, t2)
-        intersect; the retry time is the largest t2 over the violated
-        intervals, the first candidate that clears all of them.
-        """
-        worst = None
-        for t1, t2 in self._edge.get((u, v), ()):
-            if d < t2 and t1 < d + w:
-                worst = t2 if worst is None else max(worst, t2)
-        return worst
+    A forbidden interval (t1, t2) blocks d when (d, d+w) and (t1, t2)
+    intersect; the retry time is the largest t2 over the violated
+    intervals, the first candidate that clears all of them.
+    """
+    worst = None
+    for t1, t2 in spans:
+        if d < t2 and t1 < d + w:
+            worst = t2 if worst is None else max(worst, t2)
+    return worst
 
 
 def build_safe_intervals(constraints: ConstraintSet, agent: int) -> SafeTable:
-    """Compile the constraints that bind one agent into a SafeTable.
+    """Compile the constraints that bind one agent into a SafeTable, plain data.
 
     Other agents' negatives are skipped.  Banned (v, t) pairs are the agent's
     negative vertex constraints plus every other agent's positive ones.  Bans
     split a vertex's timeline into maximal safe intervals sorted by start;
-    the final interval is always unbounded.
+    the final interval is always unbounded.  The vertex map lists only the
+    vertices with a ban, the edge map only the agent's own edge bans, and the
+    waypoints are the agent's own positives.
     """
     banned: dict[int, set[int]] = {}
     for a, v, t in constraints.neg_vertex:
@@ -217,15 +206,13 @@ def sipp_plan(
     yet due sitting at the goal, because the agent stays there forever.
     Returns None when no plan exists (within the horizon, if one is given).
     """
-    table = build_safe_intervals(constraints, agent)
-    edge_bans = table.has_edge_bans
-    wps = table.waypoints
+    vertex, edge, wps = build_safe_intervals(constraints, agent)
     due = [wt for wt, _ in wps]
+    limit = math.inf if horizon is None else horizon
     dist = dist_to_goal if dist_to_goal is not None else dijkstra(graph, goal)
     if dist[start] == math.inf:
         return None
-    ivl0 = table.interval_index(start, 0)
-    if ivl0 is None:
+    if vertex.get(start, _FREE)[0].lo > 0:  # the start is banned at time 0
         return None
     wp0 = bisect_right(due, 0)
     for _, wv in wps[:wp0]:
@@ -233,7 +220,7 @@ def sipp_plan(
             return None
 
     State = tuple[int, int, int]  # (vertex, interval index, waypoints due by arrival)
-    start_key: State = (start, ivl0, wp0)
+    start_key: State = (start, 0, wp0)
     best: dict[State, int] = {start_key: 0}
     parent: dict[State, tuple[State, int, int]] = {}  # child -> (parent, depart, arrive)
     # entries are (f, -g, vertex, counter, state); the unique counter settles
@@ -253,9 +240,9 @@ def sipp_plan(
         _, neg_g, _, _, key = heapq.heappop(heap)
         v, ivl, wp = key
         a = -neg_g
-        if a > best.get(key, math.inf):
+        if a > best[key]:
             continue
-        hi = table.vertex_intervals(v)[ivl].hi
+        hi = vertex.get(v, _FREE)[ivl].hi
         # the agent must leave v before its interval ends and before the
         # first waypoint due elsewhere
         leave_by = hi
@@ -269,21 +256,21 @@ def sipp_plan(
         # the departure scan below only ever takes the earliest departure
         if wp < len(wps):
             wt = wps[wp][0]
-            if wt < leave_by and (horizon is None or wt + dist[v] <= horizon):
+            if wt < leave_by and wt + dist[v] <= limit:
                 push((v, ivl, bisect_right(due, wt)), wt, wt)
+        # dist is exact on an undirected graph and finite at the start, so
+        # it is finite at every neighbour reached
         for u, w in graph.adjacency[v]:
-            if dist[u] == math.inf:
-                continue
-            for jdx, (jlo, jhi) in enumerate(table.vertex_intervals(u)):
+            for jdx, (jlo, jhi) in enumerate(vertex.get(u, _FREE)):
                 d = max(a, jlo - w)
                 while d < leave_by:
                     t = d + w
                     if t >= jhi:
                         break
-                    if horizon is not None and t + dist[u] > horizon:
+                    if t + dist[u] > limit:
                         break
-                    if edge_bans:
-                        retry = table.edge_block_end(v, u, w, d)
+                    if edge:
+                        retry = edge_block_end(edge.get((v, u), ()), w, d)
                         if retry is not None:
                             d = max(retry, d + 1)
                             continue

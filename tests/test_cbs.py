@@ -297,6 +297,17 @@ def test_solve_rejects_real_graphs_and_bad_lazy_pc():
         solve(Instance(_grid2x2(), (0,), (3,)), SolveConfig(lazy_pc=0))
 
 
+def test_solve_config_rejects_negative_and_nan_budgets():
+    # a negative budget is a usage error, caught when the config is built,
+    # not a 'timeout' or 'exhausted' failure reported by a solve
+    for name, bad in (("timeout", -1.0), ("timeout", math.nan), ("horizon", -1), ("horizon", math.nan)):
+        with pytest.raises(ValueError, match=name):
+            SolveConfig(**{name: bad})
+    with pytest.raises(ValueError, match="lazy_pc"):
+        SolveConfig(lazy_pc=0)
+    assert SolveConfig(timeout=0.0, horizon=0).timeout == 0.0
+
+
 def test_config_variants_agree_on_makespan():
     # only solvable draws are kept: on an unsolvable one every config would
     # crawl through a full-tree exhaustion proof instead of testing anything

@@ -4,10 +4,22 @@ Examples are derived deterministically (derandomize=True), so a run is
 reproducible; graphs stay small enough for the oracles' exhaustive searches.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intmapf import ConstraintSet, IntGraph, Instance, Solution, SolveConfig, Vertex, sipp_plan, solve
+from intmapf import (
+    ConstraintSet,
+    IntGraph,
+    Instance,
+    Solution,
+    SolveConfig,
+    Vertex,
+    build_safe_intervals,
+    sipp_plan,
+    solve,
+)
 from intmapf.cbs import validate_solution
 
 import oracles
@@ -96,6 +108,47 @@ def test_other_agents_positive_on_the_only_path_changes_the_plan():
     assert oracles.binding(cs, 0) != oracles.binding(ConstraintSet(), 0)
     plan = sipp_plan(g, 0, 2, cs, 0)
     assert plan is not None and plan.steps == ((0, 0), (0, 1), (1, 2), (2, 3))
+
+
+@st.composite
+def constraint_sets(draw):
+    """Constraints of all three kinds for agents 0-2 on one graph."""
+    g = draw(int_graphs())
+    agent = st.integers(0, 2)
+    vertex = st.integers(0, g.n - 1)
+    time = st.integers(0, 10)
+    pos = frozenset(draw(st.lists(st.tuples(agent, vertex, time), max_size=5)))
+    neg = frozenset(draw(st.lists(st.tuples(agent, vertex, time), max_size=10))) - pos
+    return ConstraintSet(neg, frozenset(_edge_bans(draw, g, agent, max_size=6)), pos)
+
+
+@PROPERTY
+@given(constraint_sets())
+def test_safe_table_holds_exactly_what_binds_the_agent(cs):
+    for agent in range(3):
+        vertex, edge, waypoints = build_safe_intervals(cs, agent)
+        bans: dict[int, set[int]] = {}
+        for a, v, t in cs.neg_vertex:
+            if a == agent:
+                bans.setdefault(v, set()).add(t)
+        for a, v, t in cs.pos_vertex:
+            if a != agent:
+                bans.setdefault(v, set()).add(t)
+        assert vertex.keys() == bans.keys()
+        for v, spans in vertex.items():
+            # sorted, disjoint and non-empty, with only the last unbounded
+            assert all(lo < hi for lo, hi in spans)
+            assert all(hi < nxt.lo for (_, hi), nxt in zip(spans, spans[1:]))
+            assert spans[-1].hi == math.inf and all(hi < math.inf for _, hi in spans[:-1])
+            # the times the spans leave out are exactly the bans
+            free = {t for lo, hi in spans for t in range(lo, min(hi, 12))}
+            assert set(range(12)) - free == bans[v]
+        own_edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for a, e, span in cs.neg_edge:
+            if a == agent:
+                own_edges.setdefault(e, []).append(span)
+        assert edge == {e: tuple(sorted(spans)) for e, spans in own_edges.items()}
+        assert waypoints == tuple(sorted((t, v) for a, v, t in cs.pos_vertex if a == agent))
 
 
 @st.composite

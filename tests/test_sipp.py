@@ -15,6 +15,7 @@ from intmapf import (
     build_safe_intervals,
     sipp_plan,
 )
+from intmapf.sipp import edge_block_end
 
 import oracles
 
@@ -54,7 +55,7 @@ def test_timed_plan_validation():
     plan = TimedPlan(((0, 0), (0, 1), (1, 3)))
     assert plan.cost == 3
     assert plan.vertices() == [0, 0, 1]
-    assert len(plan) == 3
+    assert len(plan.steps) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -62,59 +63,52 @@ def test_timed_plan_validation():
 
 def test_safe_intervals_free_vertex():
     table = build_safe_intervals(EMPTY_CONSTRAINTS, 0)
-    assert table.vertex_intervals(7) == (SafeInterval(0, math.inf),)
+    assert 7 not in table.vertex
+    assert table == ({}, {}, ())
 
 
 def test_safe_intervals_single_ban_splits():
     table = build_safe_intervals(_neg_v((0, 5, 3)), 0)
-    assert table.vertex_intervals(5) == (SafeInterval(0, 3), SafeInterval(4, math.inf))
+    assert table.vertex[5] == (SafeInterval(0, 3), SafeInterval(4, math.inf))
 
 
 def test_safe_intervals_adjacent_bans_merge():
     table = build_safe_intervals(_neg_v((0, 5, 2), (0, 5, 3)), 0)
-    assert table.vertex_intervals(5) == (SafeInterval(0, 2), SafeInterval(4, math.inf))
+    assert table.vertex[5] == (SafeInterval(0, 2), SafeInterval(4, math.inf))
     table = build_safe_intervals(_neg_v((0, 5, 0)), 0)
-    assert table.vertex_intervals(5) == (SafeInterval(1, math.inf),)
+    assert table.vertex[5] == (SafeInterval(1, math.inf),)
 
 
 def test_safe_intervals_ignore_other_agents_negatives():
     table = build_safe_intervals(_neg_v((1, 5, 3)), 0)
-    assert table.vertex_intervals(5) == (SafeInterval(0, math.inf),)
+    assert 5 not in table.vertex
 
 
 def test_other_agents_positive_becomes_my_ban():
     cs = ConstraintSet(pos_vertex=frozenset({(1, 5, 3)}))
     table = build_safe_intervals(cs, 0)
-    assert table.vertex_intervals(5) == (SafeInterval(0, 3), SafeInterval(4, math.inf))
+    assert table.vertex[5] == (SafeInterval(0, 3), SafeInterval(4, math.inf))
     assert table.waypoints == ()
     mine = build_safe_intervals(cs, 1)
     assert mine.waypoints == ((3, 5),)
-    assert mine.vertex_intervals(5) == (SafeInterval(0, math.inf),)
-
-
-def test_interval_index_lookup():
-    table = build_safe_intervals(_neg_v((0, 5, 3)), 0)
-    assert table.interval_index(5, 0) == 0
-    assert table.interval_index(5, 2) == 0
-    assert table.interval_index(5, 3) is None
-    assert table.interval_index(5, 4) == 1
-    assert table.interval_index(0, 100) == 0
+    assert 5 not in mine.vertex
 
 
 def test_edge_block_enumeration():
     # forbidden span (2,5) on a weight-2 edge: departures 1..4 blocked
     cs = ConstraintSet(neg_edge=frozenset({(0, (0, 1), (2, 5))}))
     table = build_safe_intervals(cs, 0)
-    blocked = [d for d in range(11) if table.edge_block_end(0, 1, 2, d) is not None]
+    blocked = [d for d in range(11) if edge_block_end(table.edge[(0, 1)], 2, d) is not None]
     assert blocked == [1, 2, 3, 4]
-    assert table.edge_block_end(0, 1, 2, 1) == 5  # retry after the span
-    assert table.edge_block_end(1, 0, 2, 3) is None  # other direction free
+    assert edge_block_end(table.edge[(0, 1)], 2, 1) == 5  # retry after the span
+    assert (1, 0) not in table.edge  # other direction free
 
 
 def test_edge_block_retry_is_max_over_violated_spans():
     cs = ConstraintSet(neg_edge=frozenset({(0, (0, 1), (0, 3)), (0, (0, 1), (2, 7))}))
     table = build_safe_intervals(cs, 0)
-    assert table.edge_block_end(0, 1, 2, 1) == 7
+    assert table.edge[(0, 1)] == ((0, 3), (2, 7))
+    assert edge_block_end(table.edge[(0, 1)], 2, 1) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +165,7 @@ def test_edge_bans_bind_only_their_agent_and_direction():
     free = sipp_plan(g, 0, 2, EMPTY_CONSTRAINTS, 0)
     assert free is not None and free.steps == ((0, 0), (1, 2), (2, 3))
     others = ConstraintSet(neg_edge=frozenset({(1, (0, 1), (0, 3)), (2, (1, 2), (1, 4))}))
-    assert not build_safe_intervals(others, 0).has_edge_bans
+    assert not build_safe_intervals(others, 0).edge
     assert sipp_plan(g, 0, 2, others, 0) == free
     # the agent's own ban on 0 -> 1 over (0,3) covers the departure at 0
     own = ConstraintSet(neg_edge=frozenset({(0, (0, 1), (0, 3))}))
@@ -179,7 +173,7 @@ def test_edge_bans_bind_only_their_agent_and_direction():
     assert plan is not None
     assert plan.steps == ((0, 0), (0, 1), (0, 2), (0, 3), (1, 5), (2, 6))
     reverse = ConstraintSet(neg_edge=frozenset({(0, (1, 0), (0, 3))}))
-    assert build_safe_intervals(reverse, 0).has_edge_bans
+    assert build_safe_intervals(reverse, 0).edge
     assert sipp_plan(g, 0, 2, reverse, 0) == free
 
 
