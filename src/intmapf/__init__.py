@@ -20,6 +20,7 @@ from .mapio import (
     ParseError,
     ScenarioEntry,
     make_instance,
+    place_agents,
     parse_map,
     parse_roadmap,
     parse_scen,

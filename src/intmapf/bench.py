@@ -30,7 +30,7 @@ from .graph import (
     discretization_error,
     discretize,
 )
-from .mapio import Instance, ScenarioEntry, _cell
+from .mapio import Instance, ScenarioEntry, _cell, place_agents
 from .tuning import TuneConfig, tune_graph
 
 __all__ = [
@@ -153,13 +153,7 @@ def _case_instance(case: MapCase, ids: dict[tuple[int, int], int] | None, scenar
         raise ValueError(
             f"{case.name} scenario {scenario} has {len(entries)} entries, needs {n_agents}"
         )
-    if ids is not None:
-        starts = tuple(ids[e.start] for e in entries)
-        goals = tuple(ids[e.goal] for e in entries)
-    else:
-        starts = tuple(e.start[0] for e in entries)
-        goals = tuple(e.goal[0] for e in entries)
-    return Instance(case.graph, starts, goals)
+    return place_agents(case.graph, entries, ids)
 
 
 def _run_row(case: MapCase, inst: Instance, scenario: int, n_agents: int, mode: str, s_used: float, solver: SolveConfig) -> ResultRow:

@@ -24,6 +24,8 @@ from .tuning import TuneConfig, format_tune_report, tune_graph
 
 __all__ = ["main"]
 
+_TUNE = object()  # the scale --tune stores: tune s, then solve with the pick
+
 
 def _read(path: str) -> str:
     try:
@@ -58,7 +60,7 @@ def _say(name: str, value) -> None:
 def _cmd_solve(args) -> int:
     inst = _load_instance(args)
     s = args.s
-    if args.tune:
+    if s is _TUNE:
         tuned = tune_graph(
             inst, _from_flags(TuneConfig, args), solve_config=_from_flags(SolveConfig, args), seed=args.seed
         )
@@ -67,7 +69,7 @@ def _cmd_solve(args) -> int:
             return 1
         s = tuned.best_s
         _say("s_tuned", s)
-    if s is None:  # --baseline, or no scale flag
+    if s is None:  # no scale flag
         s = 1.0
     int_inst = replace(inst, graph=discretize(inst.graph, s))
     result = solve(int_inst, _from_flags(SolveConfig, args))
@@ -175,10 +177,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = subs.add_parser("solve", help="solve one instance")
     _add_map_flags(p)
     _add_solver_flags(p)
+    # one destination, so an explicit scale flag replaces a config file's of any kind
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--s", type=float, default=None, help="discretization scale")
-    mode.add_argument("--baseline", action="store_true", help="use s = 1")
-    mode.add_argument("--tune", action="store_true", help="tune s before solving")
+    mode.add_argument("--baseline", dest="s", action="store_const", const=1.0, help="use s = 1")
+    mode.add_argument("--tune", dest="s", action="store_const", const=_TUNE, help="tune s before solving")
     _add_tune_flags(p, require_range=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the solution here instead of stdout")
@@ -239,11 +242,15 @@ def _apply_config(parser: argparse.ArgumentParser, sub: argparse.ArgumentParser,
 
 def _coerce(parser, action, key, val, path, lineno):
     try:
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        if isinstance(action, argparse._StoreConstAction):  # store_true, --baseline, --tune
             low = val.lower()
             if low not in ("true", "false", "1", "0", "yes", "no"):
                 raise ValueError(f"not a boolean: {val!r}")
-            return low in ("true", "1", "yes")
+            if low in ("true", "1", "yes"):
+                return action.const
+            # false reads as the flag left out: store_true is off, and --baseline or
+            # --tune keeps the file's scale so far (set_defaults stored it as action.default)
+            return not action.const if isinstance(action.const, bool) else action.default
         conv = action.type if action.type is not None else str
         if action.nargs in ("+", "*"):
             items = [conv(v) for v in val.replace(",", " ").split()]

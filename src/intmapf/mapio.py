@@ -30,6 +30,7 @@ __all__ = [
     "serialize_scen",
     "parse_roadmap",
     "serialize_roadmap",
+    "place_agents",
     "make_instance",
 ]
 
@@ -305,6 +306,37 @@ def serialize_roadmap(g: RealGraph | IntGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def place_agents(
+    graph: RealGraph | IntGraph,
+    entries: Sequence[ScenarioEntry],
+    cell_ids: dict[tuple[int, int], int] | None = None,
+) -> Instance:
+    """An Instance on graph with one agent per scenario entry, in order.
+
+    With cell_ids (cell_vertex_ids of the grid the graph was built from),
+    entry coordinates are cells; without, the x columns carry vertex ids and
+    the y columns must be 0.  Blocked or unknown cells and vertices are
+    reported per entry; start/goal injectivity and the agents < vertices bound
+    are enforced by the Instance constructor.
+    """
+    starts: list[int] = []
+    goals: list[int] = []
+    for a, e in enumerate(entries):
+        for name, cell, acc in (("start", e.start, starts), ("goal", e.goal, goals)):
+            if cell_ids is not None:
+                vid = cell_ids.get(cell)
+                if vid is None:
+                    raise ValueError(f"agent {a} {name} cell {cell} is blocked or out of bounds")
+            else:
+                vid, zero = cell
+                if zero != 0:
+                    raise ValueError(f"agent {a} {name}: roadmap entries need 0 in the y column, got {zero}")
+                if not (0 <= vid < graph.n):
+                    raise ValueError(f"agent {a} {name} vertex {vid} out of range 0..{graph.n - 1}")
+            acc.append(vid)
+    return Instance(graph, tuple(starts), tuple(goals))
+
+
 def make_instance(
     source: GridSpec | RealGraph,
     entries: Sequence[ScenarioEntry],
@@ -316,9 +348,7 @@ def make_instance(
 
     A GridSpec source is expanded to its 2^k graph and entry coordinates are
     cell positions; a RealGraph source is used as-is and the x columns carry
-    vertex ids.  Start/goal injectivity and the agents < vertices bound are
-    enforced by the Instance constructor; blocked or unknown cells are
-    reported per entry.
+    vertex ids.  place_agents maps and checks the entries.
     """
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
@@ -326,25 +356,5 @@ def make_instance(
         raise ValueError(f"scenario provides {len(entries)} entries, requested {n_agents} agents")
     selected = entries[:n_agents]
     if isinstance(source, GridSpec):
-        graph: RealGraph | IntGraph = build_grid_graph(source, k)
-        ids = cell_vertex_ids(source)
-        starts = []
-        goals = []
-        for a, e in enumerate(selected):
-            for name, cell, acc in (("start", e.start, starts), ("goal", e.goal, goals)):
-                vid = ids.get(cell)
-                if vid is None:
-                    raise ValueError(f"agent {a} {name} cell {cell} is blocked or out of bounds")
-                acc.append(vid)
-    else:
-        graph = source
-        starts = []
-        goals = []
-        for a, e in enumerate(selected):
-            for name, (vid, zero), acc in (("start", e.start, starts), ("goal", e.goal, goals)):
-                if zero != 0:
-                    raise ValueError(f"agent {a} {name}: roadmap entries need 0 in the y column, got {zero}")
-                if not (0 <= vid < graph.n):
-                    raise ValueError(f"agent {a} {name} vertex {vid} out of range 0..{graph.n - 1}")
-                acc.append(vid)
-    return Instance(graph, tuple(starts), tuple(goals))
+        return place_agents(build_grid_graph(source, k), selected, cell_vertex_ids(source))
+    return place_agents(source, selected)

@@ -178,6 +178,24 @@ def test_requesting_more_agents_than_entries_raises():
         run_suite(spec)
 
 
+def test_suite_rejects_a_blocked_start_cell():
+    grid = GridSpec(3, 2, (True, False, True, True, True, True))
+    name = "wall-3-2"
+    scen = (_entry(name, (3, 2), (1, 0), (2, 1)), _entry(name, (3, 2), (0, 1), (2, 0)))
+    case = MapCase(name=name, graph=build_grid_graph(grid, 3), scenarios=(scen,), grid=grid, k=3)
+    spec = ExperimentSpec(cases=(case,), agent_counts=(1,), modes=("baseline",))
+    with pytest.raises(ValueError, match=r"agent 0 start cell \(1, 0\) is blocked"):
+        run_suite(spec)
+
+
+def test_suite_rejects_a_roadmap_entry_off_the_x_column():
+    case = _swap_roadmap_case()
+    bad = (replace(case.scenarios[0][0], goal=(2, 1)),) + case.scenarios[0][1:]
+    spec = ExperimentSpec(cases=(replace(case, scenarios=(bad,)),), agent_counts=(2,), modes=("baseline",))
+    with pytest.raises(ValueError, match="0 in the y column"):
+        run_suite(spec)
+
+
 def test_spec_validation():
     case = _mini_case()
     with pytest.raises(ValueError, match="unknown mode"):

@@ -187,6 +187,40 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
     assert "s_used=2.0" in capsys.readouterr().out
 
 
+def test_baseline_flag_beats_a_config_scale(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.cfg", "s = 0.5\n")
+    rc = main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1", "--config", cfg, "--baseline"])
+    assert rc == 0
+    assert "s_used=1.0" in capsys.readouterr().out
+
+
+def test_scale_flag_beats_a_config_tune(tmp_path, capsys, monkeypatch):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuned despite --s")
+
+    monkeypatch.setattr(cli, "tune_graph", no_tuning)
+    cfg = _write(tmp_path, "tune.cfg", "tune = true\n")
+    rc = main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1", "--config", cfg, "--s", "2.0"])
+    assert rc == 0
+    assert "s_used=2.0" in capsys.readouterr().out
+
+
+def test_config_scale_flags_set_the_scale(tmp_path, capsys, monkeypatch):
+    tuned = []
+    monkeypatch.setattr(cli, "tune_graph", lambda *args, **kwargs: tuned.append(1) or TuneResult(0.75, (), (), (), ()))
+    for text, s_used, tunes in (
+        ("baseline = true\n", "1.0", 0),
+        ("tune = true\n", "0.75", 1),
+        ("s = 0.5\ntune = false\nbaseline = no\n", "0.5", 0),
+    ):
+        tuned.clear()
+        cfg = _write(tmp_path, "run.cfg", text)
+        rc = main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1", "--config", cfg])
+        assert rc == 0, text
+        assert f"s_used={s_used}" in capsys.readouterr().out, text
+        assert len(tuned) == tunes, text
+
+
 def test_config_boolean_and_choice_coercion(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", "disjoint = true\nk = 4\n")
     rc = main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1", "--config", cfg])

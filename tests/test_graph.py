@@ -61,7 +61,7 @@ def test_neighborhood_moves_rejects_bad_exponent():
 
 
 # ---------------------------------------------------------------------------
-# supercover geometry
+# segment-cell overlap
 
 def test_segment_cells_axis_and_diagonal():
     assert segment_cells((0, 0), (3, 0)) == [(0, 0), (1, 0), (2, 0), (3, 0)]
@@ -70,8 +70,9 @@ def test_segment_cells_axis_and_diagonal():
 
 
 def test_segment_cells_matches_exact_geometry_small_offsets():
-    for dx in range(-3, 4):
-        for dy in range(-3, 4):
+    # every move of a 2^k neighborhood for k <= 5, and the random test's range
+    for dx in range(-8, 9):
+        for dy in range(-8, 9):
             a, b = (5, 5), (5 + dx, 5 + dy)
             assert set(segment_cells(a, b)) == oracles.segment_cells_exact(a, b), (dx, dy)
 
@@ -199,6 +200,19 @@ def test_graph_edge_queries():
     with pytest.raises(ValueError):
         g.weight(0, 2)
     assert g.adjacency[1] == ((0, 2.0), (2, 3.0))
+
+
+def test_adjacency_sorted_by_neighbor_for_shuffled_flipped_edges():
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        edges = [(v, u, 1.0 + u + v) if rng.random() < 0.5 else (u, v, 1.0 + u + v) for u, v in pairs]
+        rng.shuffle(edges)
+        g = RealGraph(_line_vertices(n), edges)
+        for x, nbrs in enumerate(g.adjacency):
+            assert [u for u, _ in nbrs] == sorted(v if u == x else u for u, v in pairs if x in (u, v)), x
+            assert all(w == g.weight(x, u) for u, w in nbrs)
 
 
 # ---------------------------------------------------------------------------
