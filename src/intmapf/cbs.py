@@ -33,6 +33,16 @@ at t_a, the edge during the open span (t_a, t_b), and v at t_b; after its last
 step an agent sits on its goal forever.  Two opposite traversals of one edge
 conflict exactly when their [t_a, t_b) spans overlap, so a swap over a unit
 edge conflicts at its departure.
+
+Detection works pair by pair: a pair's earliest conflict depends only on its
+two plans, checked until the longer one ends.  A child replans one or two
+agents and shares every other plan object with its parent, so within one
+solve a PairMemo keeps each plan's occupancy and each pair's result, keyed by
+the agents and the plans' ids, and an expanded node computes only the pairs
+that hold a new plan; SearchStats.pairs_reused counts the rest.  The memo
+holds every plan it keys, so no id is reused while it lives, and it is
+dropped with the solve.  The replanning test for a positive constraint reads
+the same occupancy.
 """
 
 from __future__ import annotations
@@ -40,10 +50,9 @@ from __future__ import annotations
 import heapq
 import math
 import time as _time
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .graph import IntGraph, dijkstra
 from .mapio import Instance
@@ -57,6 +66,7 @@ __all__ = [
     "Failure",
     "SolveConfig",
     "Violation",
+    "PairMemo",
     "detect_conflicts",
     "make_branch_constraints",
     "classify_conflict",
@@ -66,6 +76,7 @@ __all__ = [
 ]
 
 Traversal = tuple[int, int, int, int]  # (from, to, depart, arrive)
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,7 @@ class SearchStats:
     picked_semi: int = 0
     picked_non: int = 0
     plans_reused: int = 0  # of low_level_calls, answered from the solve's memo
+    pairs_reused: int = 0  # plan pairs whose conflict check the solve's pair memo answered
     wall_time: float = 0.0
 
 
@@ -144,50 +156,125 @@ class Violation:
     detail: str
 
 
-def detect_conflicts(plans: Sequence[TimedPlan]) -> list[Conflict]:
+class Occupancy(NamedTuple):
+    """One plan as detect_conflicts reads it."""
+
+    occupied: set[tuple[int, int]]  # (v, t) at each step and through each wait, up to the cost
+    vertices: set[int]  # every vertex the plan visits
+    crossings: dict[tuple[int, int], tuple[Traversal, ...]]  # traversals by undirected edge (min, max)
+    cost: int
+    last: int  # the vertex the agent parks on from its cost on
+    plan: TimedPlan  # held, so that no other object takes over the plan's id
+
+
+class PairMemo:
+    """What detect_conflicts learned about plans, for later calls to reuse.
+
+    occupancy(plan) is computed once per plan object.  pairs maps
+    (i, j, id(plan_i), id(plan_j)) to that pair's earliest conflict, or None;
+    every plan a key names is held by its Occupancy, so the id stays its own
+    while the memo lives.  reused counts the pair checks answered from pairs.
+    """
+
+    __slots__ = ("_occupancy", "pairs", "reused")
+
+    def __init__(self) -> None:
+        self._occupancy: dict[int, Occupancy] = {}
+        self.pairs: dict[tuple[int, int, int, int], Conflict | None] = {}
+        self.reused = 0
+
+    def occupancy(self, plan: TimedPlan) -> Occupancy:
+        entry = self._occupancy.get(id(plan))
+        if entry is None:
+            steps = plan.steps
+            occupied = set(steps)
+            crossings: dict[tuple[int, int], tuple[Traversal, ...]] = {}
+            for (u, ta), (v, tb) in zip(steps, steps[1:]):
+                if u != v:
+                    e = (u, v) if u < v else (v, u)
+                    crossings[e] = crossings.get(e, ()) + ((u, v, ta, tb),)
+                elif tb - ta > 1:
+                    occupied.update((u, t) for t in range(ta + 1, tb))
+            last, cost = steps[-1]
+            vertices = {v for v, _ in steps}
+            entry = self._occupancy[id(plan)] = Occupancy(occupied, vertices, crossings, cost, last, plan)
+        return entry
+
+
+def _pair_conflict(i: int, occ_i: Occupancy, j: int, occ_j: Occupancy) -> Conflict | None:
+    """Earliest conflict between agents i < j, the shorter plan parked until the longer one ends."""
+    set_i, verts_i, cross_i, cost_i, last_i, _ = occ_i
+    set_j, verts_j, cross_j, cost_j, last_j, _ = occ_j
+    vertex, t_v = None, math.inf
+    if not set_i.isdisjoint(set_j):
+        vertex, t_v = min(set_i & set_j, key=itemgetter(1))
+    # the shorter plan's agent stays on its last vertex until the longer plan ends
+    v, parked, until, occupied, visited = (
+        (last_i, cost_i, cost_j, set_j, verts_j) if cost_i < cost_j else (last_j, cost_j, cost_i, set_i, verts_i)
+    )
+    if v in visited:
+        for t in range(parked + 1, min(until, t_v - 1) + 1):
+            if (v, t) in occupied:
+                vertex, t_v = v, t
+                break
+    edge, t_e = None, math.inf
+    if not cross_i.keys().isdisjoint(cross_j.keys()):
+        for e in cross_i.keys() & cross_j.keys():
+            for ti in cross_i[e]:
+                for tj in cross_j[e]:
+                    t = max(ti[2], tj[2])
+                    if ti[0] == tj[1] and t < min(ti[3], tj[3]) and t < t_e:
+                        edge, t_e = (ti, tj), t
+    if vertex is not None and t_v <= t_e:
+        return Conflict("vertex", (i, j), t_v, vertex=vertex)
+    if edge is not None:
+        return Conflict("edge", (i, j), t_e, trav_i=edge[0], trav_j=edge[1])
+    return None
+
+
+def detect_conflicts(plans: Sequence[TimedPlan], memo: PairMemo | None = None) -> list[Conflict]:
     """Earliest conflict for every agent pair, sorted by (time, agents).
 
     An agent occupies (v, t) at each plan step, through each wait, and on its
-    last vertex from its cost until the longest plan ends; past that every
-    agent is parked, so no vertex is shared that was not shared before.  Two
-    opposite traversals of one edge conflict at the later departure when
-    their [depart, arrive) spans overlap.  A vertex conflict wins over an
-    edge conflict at the same step.
+    last vertex from its cost on.  A pair is checked until the longer of its
+    two plans ends: past that both agents are parked, so if they share a
+    vertex they already share it then.  Two opposite traversals of one edge
+    conflict at the later departure when their [depart, arrive) spans
+    overlap.  A pair has one earliest conflict: an agent is on one vertex or
+    inside one traversal at a time, and two agents crossing an edge head-on
+    are at its two ends or inside it, never on one vertex.
+
+    A memo carries each plan's occupancy and each pair's result from one call
+    to the next, so two plan objects already compared at the same two indices
+    cost one lookup.  Plans are immutable and the memo holds every plan it has
+    seen, so an id in a key always names the same plan.  The key also holds
+    both indices, because a result names its agents: a plan object may appear
+    at any index, in any call.  Without a memo the call uses a fresh one.
     """
     if not plans:
         raise ValueError("detect_conflicts needs at least one plan")
-    horizon = max(p.cost for p in plans)
-    occupied = []
-    crossings: defaultdict[tuple[int, int], list[tuple[int, Traversal]]] = defaultdict(list)
-    for a, plan in enumerate(plans):
-        steps = plan.steps
-        occ = set(steps)
-        for (u, ta), (v, tb) in zip(steps, steps[1:]):
-            if u != v:
-                crossings[min(u, v), max(u, v)].append((a, (u, v, ta, tb)))
-            elif tb - ta > 1:
-                occ.update((u, t) for t in range(ta + 1, tb))
-        last_v, last_t = steps[-1]
-        occ.update((last_v, t) for t in range(last_t + 1, horizon + 1))
-        occupied.append(occ)
+    if memo is None:
+        memo = PairMemo()
+    pairs = memo.pairs
+    before = len(pairs)
+    ids = [id(p) for p in plans]
+    occ = None  # read on the first miss
     found = []
-    for i, j in combinations(range(len(plans)), 2):
-        shared = occupied[i] & occupied[j]
-        if shared:
-            v, t = min(shared, key=lambda vt: vt[1])
-            found.append(Conflict("vertex", (i, j), t, vertex=v))
-    for group in crossings.values():
-        for (i, ti), (j, tj) in combinations(group, 2):
-            t = max(ti[2], tj[2])
-            if i != j and ti[0] == tj[1] and t < min(ti[3], tj[3]):
-                found.append(Conflict("edge", (i, j), t, trav_i=ti, trav_j=tj))
-    # the sort is stable, so a pair's vertex conflict stays ahead of its edge
-    # conflict at the same step; each pair keeps its first entry
+    for j in range(1, len(plans)):
+        id_j = ids[j]
+        for i in range(j):
+            key = (i, j, ids[i], id_j)
+            c = pairs.get(key, _MISSING)
+            if c is _MISSING:
+                if occ is None:
+                    occ = [memo.occupancy(p) for p in plans]
+                c = pairs[key] = _pair_conflict(i, occ[i], j, occ[j])
+            if c is not None:
+                found.append(c)
+    n = len(plans)
+    memo.reused += n * (n - 1) // 2 - (len(pairs) - before)
     found.sort(key=lambda c: (c.time, c.agents))
-    first: dict[tuple[int, int], Conflict] = {}
-    for c in found:
-        first.setdefault(c.agents, c)
-    return list(first.values())
+    return found
 
 
 def make_branch_constraints(conflict: Conflict, disjoint: bool) -> tuple[ConstraintSet, ConstraintSet]:
@@ -241,6 +328,7 @@ class _Ctx:
         self.deadline = deadline
         self.stats = SearchStats()
         self.memo: dict[tuple[int, ConstraintSet], TimedPlan | None] = {}
+        self.pairs = PairMemo()
         self.dist = [dijkstra(graph, g) for g in goals]
         if config.horizon is not None:
             self.horizon = config.horizon
@@ -274,11 +362,11 @@ class _Ctx:
         return plan
 
 
-def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan]) -> list[int]:
+def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan], pairs: PairMemo) -> list[int]:
     """Agents whose current plan may violate the freshly added constraints.
 
-    Plans spell out every wait step, so an agent is at v at time t exactly when
-    (v, t) is a step, or t is past its cost and v is its last vertex.
+    An agent is at v at time t exactly when its plan's occupancy holds (v, t),
+    or t is past its cost and v is its last vertex.
     """
     agents: set[int] = set()
     for a, _, _ in conflict_bundle.neg_vertex:
@@ -288,7 +376,8 @@ def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan]) -
     for i, v, t in conflict_bundle.pos_vertex:
         agents.add(i)
         for j, plan in enumerate(plans):
-            if j != i and ((v, t) in plan.steps or (t > plan.cost and plan.steps[-1][0] == v)):
+            occ = pairs.occupancy(plan)
+            if j != i and ((v, t) in occ.occupied or (t > occ.cost and occ.last == v)):
                 agents.add(j)
     return sorted(agents)
 
@@ -302,7 +391,7 @@ def _children(ctx: _Ctx, node: CTNode, conflict: Conflict) -> tuple[CTNode | Non
     children: list[CTNode | None] = []
     for delta in make_branch_constraints(conflict, ctx.config.disjoint):
         ctx.check_deadline()
-        replan = _replan_agents(delta, node.plans)
+        replan = _replan_agents(delta, node.plans, ctx.pairs)
         constraints = list(node.constraints)
         # a delta is one constraint: a negative binds only its agent (the one replanned), a positive all
         for a in range(len(constraints)) if delta.pos_vertex else replan:
@@ -364,6 +453,7 @@ def solve(instance: Instance, config: SolveConfig | None = None):
 
     def finish(result):
         ctx.stats.wall_time = _time.perf_counter() - t0
+        ctx.stats.pairs_reused = ctx.pairs.reused
         return result
 
     try:
@@ -383,7 +473,7 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             ctx.check_deadline()
             node = heapq.heappop(open_heap)[3]
             ctx.stats.nodes_expanded += 1
-            conflicts = detect_conflicts(node.plans)
+            conflicts = detect_conflicts(node.plans, ctx.pairs)
             if not conflicts:
                 return finish(Solution(node.plans, node.cost, ctx.stats))
             for child in _split(ctx, node, conflicts):

@@ -71,6 +71,23 @@ def _random_int_graph(rng, n, max_w=3, p=0.5):
     return IntGraph(verts, edges)
 
 
+def _random_plan(rng, g, slow=False):
+    """Up to five random moves; slow plans wait several steps at once and cross edges up to two steps late."""
+    v = rng.randrange(g.n)
+    t = 0
+    steps = [(v, t)]
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.3 or not g.adjacency[v]:
+            t += rng.randint(1, 3) if slow else 1
+            steps.append((v, t))
+        else:
+            u, w = rng.choice(g.adjacency[v])
+            t += int(w) + (rng.randint(0, 2) if slow else 0)
+            steps.append((u, t))
+            v = u
+    return TimedPlan(tuple(steps))
+
+
 def _as_tuple(c: Conflict):
     if c.kind == "vertex":
         return ("vertex", c.agents, c.time, c.vertex)
@@ -138,22 +155,7 @@ def test_detection_matches_occupancy_oracle():
     checked = conflicted = 0
     for _ in range(160):
         g = _random_int_graph(rng, rng.randint(3, 7), max_w=3, p=0.6)
-        n_agents = rng.randint(2, 4)
-        plans = []
-        for _ in range(n_agents):
-            v = rng.randrange(g.n)
-            t = 0
-            steps = [(v, t)]
-            for _ in range(rng.randint(0, 5)):
-                if rng.random() < 0.3 or not g.adjacency[v]:
-                    t += 1
-                    steps.append((v, t))
-                else:
-                    u, w = rng.choice(g.adjacency[v])
-                    t += int(w)
-                    steps.append((u, t))
-                    v = u
-            plans.append(TimedPlan(tuple(steps)))
+        plans = [_random_plan(rng, g) for _ in range(rng.randint(2, 4))]
         got = [_as_tuple(c) for c in detect_conflicts(plans)]
         want = first_conflicts(plans, max(p.cost for p in plans))
         assert got == want
@@ -167,26 +169,47 @@ def test_detection_matches_occupancy_oracle():
     conflicted = 0
     for _ in range(300):
         g = _random_int_graph(rng, rng.randint(3, 7), max_w=3, p=0.6)
-        plans = []
-        for _ in range(rng.randint(2, 5)):
-            v = rng.randrange(g.n)
-            t = 0
-            steps = [(v, t)]
-            for _ in range(rng.randint(0, 5)):
-                if rng.random() < 0.3 or not g.adjacency[v]:
-                    t += rng.randint(1, 3)
-                    steps.append((v, t))
-                else:
-                    u, w = rng.choice(g.adjacency[v])
-                    t += int(w) + rng.randint(0, 2)
-                    steps.append((u, t))
-                    v = u
-            plans.append(TimedPlan(tuple(steps)))
+        plans = [_random_plan(rng, g, slow=True) for _ in range(rng.randint(2, 5))]
         got = [_as_tuple(c) for c in detect_conflicts(plans)]
         want = first_conflicts(plans, max(p.cost for p in plans))
         assert got == want
         conflicted += bool(want)
     assert conflicted >= 200
+
+
+def test_shared_memo_matches_fresh_detection_and_oracle():
+    # As in a solve, each index draws from a few fixed plan objects, and many
+    # lists share one memo; canonical and slow plans both occur.
+    rng = random.Random(25)
+    reused = 0
+    for trial in range(80):
+        g = _random_int_graph(rng, rng.randint(3, 7), max_w=3, p=0.6)
+        pools = [[_random_plan(rng, g, slow=trial % 2 == 1) for _ in range(3)] for _ in range(rng.randint(2, 5))]
+        memo = cbs.PairMemo()
+        checks, seen = 0, set()  # the pools hold every plan, so ids stay unique
+        for _ in range(30):
+            plans = [rng.choice(pool) for pool in pools]
+            got = detect_conflicts(plans, memo)
+            assert got == detect_conflicts(plans)
+            assert [_as_tuple(c) for c in got] == first_conflicts(plans, max(p.cost for p in plans))
+            n = len(plans)
+            checks += n * (n - 1) // 2
+            seen.update((i, j, id(plans[i]), id(plans[j])) for i in range(n) for j in range(i + 1, n))
+        assert memo.reused == checks - len(seen)
+        reused += memo.reused
+    assert reused >= 5_000
+
+
+def test_memo_keeps_one_plan_object_at_several_indices_apart():
+    # A result names its agents, so the same two plan objects at other
+    # indices must not be answered with the first pair's conflict.
+    p = _plan((0, 0), (1, 1))
+    q = _plan((2, 0), (1, 1))
+    memo = cbs.PairMemo()
+    for plans in ([p, q], [p, q, p, q], [q, p, q]):
+        want = first_conflicts(plans, 1)
+        assert [_as_tuple(c) for c in detect_conflicts(plans, memo)] == want
+        assert [_as_tuple(c) for c in detect_conflicts(plans)] == want
 
 
 # ---------------------------------------------------------------- branching
@@ -410,10 +433,10 @@ def test_only_expanded_nodes_are_checked_for_conflicts(monkeypatch):
     calls = 0
     original = cbs.detect_conflicts
 
-    def counted(plans):
+    def counted(plans, memo=None):
         nonlocal calls
         calls += 1
-        return original(plans)
+        return original(plans, memo)
 
     monkeypatch.setattr(cbs, "detect_conflicts", counted)
     left_open = False

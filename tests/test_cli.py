@@ -408,13 +408,13 @@ def test_writers_match_the_golden_text():
 def test_solve_stat_lines_match_the_golden_text(monkeypatch, capsys):
     stats = SearchStats(
         nodes_generated=12, nodes_expanded=5, low_level_calls=20, plans_reused=3,
-        picked_cardinal=2, picked_semi=1, picked_non=1, wall_time=0.015625,
+        picked_cardinal=2, picked_semi=1, picked_non=1, pairs_reused=7, wall_time=0.015625,
     )
     monkeypatch.setattr(cli, "solve", lambda inst, config=None: Failure("timeout", stats))
     assert main(["solve", "--map", MAP, "--scen", SCEN, "--agents", "1", "--s", "0.5"]) == 1
     assert capsys.readouterr().out == (
         "s_used=0.5\nnodes_generated=12\nnodes_expanded=5\nlow_level_calls=20\npicked_cardinal=2\n"
-        "picked_semi=1\npicked_non=1\nplans_reused=3\nwall_time=0.015625\n"
+        "picked_semi=1\npicked_non=1\nplans_reused=3\npairs_reused=7\nwall_time=0.015625\n"
     )
 
 

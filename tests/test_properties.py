@@ -6,6 +6,7 @@ reproducible; graphs stay small enough for the oracles' exhaustive searches.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from intmapf import (
     sipp_plan,
     solve,
 )
+from intmapf import cbs
 from intmapf.cbs import validate_solution
 
 import oracles
@@ -189,3 +191,40 @@ def test_cbs_with_automatic_horizon_is_optimal_or_says_horizon(inst, disjoint):
         assert out.reason in ("exhausted", "horizon")
         if oracles.joint_optimal_makespan(inst.graph, inst.starts, inst.goals, 16) is not None:
             assert out.reason == "horizon"
+
+
+@CBS_PROPERTY
+@given(cbs_instances(), st.booleans())
+def test_pair_memo_gives_every_node_the_memo_free_conflicts(inst, disjoint):
+    # Every expanded node's conflicts, read through the solve's pair memo,
+    # equal a memo-free call on the same plans; pairs_reused counts the
+    # (agents, plan objects) pairs seen before, and the replanning test for a
+    # positive constraint agrees with the oracle's occupancy.
+    detect, replan = cbs.detect_conflicts, cbs._replan_agents
+    checks, seen, held = 0, set(), []
+
+    def checked_detect(plans, memo=None):
+        nonlocal checks
+        assert memo is not None
+        got = detect(plans, memo)
+        assert got == detect(plans)
+        n = len(plans)
+        checks += n * (n - 1) // 2
+        seen.update((i, j, id(plans[i]), id(plans[j])) for i in range(n) for j in range(i + 1, n))
+        held.append(plans)  # keeps every id in seen unique
+        return got
+
+    def checked_replan(bundle, plans, pairs):
+        got = replan(bundle, plans, pairs)
+        want = {a for a, _, _ in bundle.neg_vertex} | {a for a, _, _ in bundle.neg_edge}
+        for i, v, t in bundle.pos_vertex:
+            want |= {i} | {j for j, plan in enumerate(plans) if oracles.vertex_of(plan, t) == v}
+        assert got == sorted(want)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbs, "detect_conflicts", checked_detect)
+        mp.setattr(cbs, "_replan_agents", checked_replan)
+        out = solve(inst, SolveConfig(disjoint=disjoint, horizon=6, timeout=TIMEOUT))
+    assert out.stats.nodes_expanded == len(held)
+    assert out.stats.pairs_reused == checks - len(seen)
