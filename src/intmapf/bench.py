@@ -15,7 +15,7 @@ import math
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .graph import (
     discretization_error,
     discretize,
 )
-from .mapio import Instance, ScenarioEntry, _cell, place_agents
+from .mapio import Instance, ScenarioEntry, _header, _to_csv, place_agents
 from .tuning import TuneConfig, tune_graph
 
 __all__ = [
@@ -132,10 +132,6 @@ class SummaryRow:
     makespan_q1: float | None = field(metadata=_STATISTIC)
     makespan_median: float | None = field(metadata=_STATISTIC)
     makespan_q3: float | None = field(metadata=_STATISTIC)
-
-
-def _header(cls) -> str:
-    return ",".join(f.name for f in fields(cls))
 
 
 ROW_HEADER = _header(ResultRow)
@@ -250,15 +246,6 @@ def aggregate(rows: Sequence[ResultRow]) -> list[SummaryRow]:
             mean_rt = q1 = q2 = q3 = None
         out.append(SummaryRow(name, k, mode, n_agents, rate, mean_rt, q1, q2, q3))
     return out
-
-
-def _to_csv(cls, records) -> str:
-    """Header and one line per record, one column per field of cls."""
-    lines = [_header(cls)]
-    for r in records:
-        values = [(f, getattr(r, f.name)) for f in fields(cls)]
-        lines.append(",".join(f.metadata.get("missing", "") if v is None else _cell(v) for f, v in values))
-    return "\n".join(lines) + "\n"
 
 
 def rows_to_csv(rows: Sequence[ResultRow]) -> str:

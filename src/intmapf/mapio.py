@@ -15,7 +15,7 @@ offending line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .graph import GridSpec, IntGraph, RealGraph, Vertex, build_grid_graph, cell_vertex_ids
@@ -211,6 +211,19 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def _header(cls) -> str:
+    return ",".join(f.name for f in fields(cls))
+
+
+def _to_csv(cls, records) -> str:
+    """Header and one line per record, one column per field of cls."""
+    lines = [_header(cls)]
+    for r in records:
+        values = [(f, getattr(r, f.name)) for f in fields(cls)]
+        lines.append(",".join(f.metadata.get("missing", "") if v is None else _cell(v) for f, v in values))
+    return "\n".join(lines) + "\n"
 
 
 def parse_roadmap(text: str) -> RealGraph:

@@ -11,7 +11,10 @@ discretization error C(s) of the incumbent plans in a small NSGA-II run.  The
 front's own (lcb, C) rows are scored, each column min-max normalized, and the
 member with the least sum becomes the next true evaluation.
 Timed-out evaluations are charged the full timeout as their runtime, so the
-surrogate learns to avoid them.
+surrogate learns to avoid them.  Each true evaluation is recorded once, as an
+Observation that also carries the pick behind it (its lcb, score and the
+surrogate's fitted hyperparameters); format_tune_report writes those fields
+as CSV columns.
 
 The loop itself is solver-agnostic: it takes an eval function mapping s to
 (runtime, success, paths) and an error function mapping (scales, paths) to
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,14 +37,13 @@ from scipy.optimize import minimize
 
 from .cbs import Solution, SolveConfig, solve
 from .graph import RealGraph, discretization_error, discretize, shortest_path
-from .mapio import Instance, _cell
+from .mapio import Instance, _to_csv
 from .nsga import fast_nondominated_sort, nsga2_evolve
 
 __all__ = [
     "Observation",
     "SurrogatePosterior",
     "TuneConfig",
-    "IterationRecord",
     "TuneResult",
     "fit_surrogate",
     "lcb",
@@ -57,49 +59,51 @@ _MIN_JITTER = 1e-8
 
 @dataclass(frozen=True)
 class Observation:
-    """One true evaluation of the solver at scale s."""
+    """One true evaluation of the solver at scale s, and the pick that chose it.
+
+    lcb and score are the picked front row's; ell, sf2 and sn2 are the fitted
+    hyperparameters of the surrogate behind the pick.  All five are None for
+    bootstrap evaluations.
+    """
 
     s: float
     runtime: float
     success: bool
     error: float
+    lcb: float | None = None
+    score: float | None = None
+    ell: float | None = None
+    sf2: float | None = None
+    sn2: float | None = None
 
 
+@dataclass(frozen=True, eq=False)
 class SurrogatePosterior:
     """GP posterior over standardized log runtime as a function of s.
 
     Squared-exponential kernel on s normalized to [0, 1].  predict accepts a
     scalar or an array and returns (mean, std), each of the input's shape;
     std is the posterior standard deviation of the latent function
-    (observation noise excluded), clamped at zero.
+    (observation noise excluded), clamped at zero.  Each scale's mean depends
+    on that scale alone, not on the others queried with it.
     """
 
-    def __init__(
-        self,
-        x_norm: np.ndarray,
-        alpha: np.ndarray,
-        chol_lower: np.ndarray,
-        ell: float,
-        sf2: float,
-        sn2: float,
-        x_lo: float,
-        x_span: float,
-    ):
-        self._x = x_norm
-        self._alpha = alpha
-        self._L = chol_lower
-        self.ell = ell
-        self.sf2 = sf2
-        self.sn2 = sn2
-        self._x_lo = x_lo
-        self._x_span = x_span
+    x_norm: np.ndarray
+    alpha: np.ndarray
+    chol_lower: np.ndarray
+    ell: float
+    sf2: float
+    sn2: float
+    x_lo: float
+    x_span: float
 
     def predict(self, s):
-        q = (np.atleast_1d(np.asarray(s, dtype=float)) - self._x_lo) / self._x_span
-        diff = q[:, None] - self._x[None, :]
+        q = (np.atleast_1d(np.asarray(s, dtype=float)) - self.x_lo) / self.x_span
+        diff = q[:, None] - self.x_norm[None, :]
         k = self.sf2 * np.exp(-0.5 * (diff / self.ell) ** 2)
-        mu = k @ self._alpha
-        v = solve_triangular(self._L, k.T, lower=True)
+        # an in-order sum per row: BLAS's k @ alpha can round a row differently with the matrix's row count
+        mu = np.add.accumulate(k * self.alpha, axis=1)[:, -1]
+        v = solve_triangular(self.chol_lower, k.T, lower=True)
         sd = np.sqrt(np.maximum(self.sf2 - np.sum(v * v, axis=0), 0.0))
         if np.ndim(s) == 0:
             return float(mu[0]), float(sd[0])
@@ -269,27 +273,10 @@ class TuneConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    t: int
-    s: float
-    runtime: float
-    error: float
-    success: bool
-    lcb: float | None  # None for bootstrap evaluations
-    score: float | None
-    # the fitted hyperparameters of the surrogate behind this pick; None for bootstrap evaluations
-    ell: float | None
-    sf2: float | None
-    sn2: float | None
-
-
-@dataclass(frozen=True)
 class TuneResult:
     best_s: float | None  # None when every evaluation failed
     observations: tuple[Observation, ...]
-    records: tuple[IterationRecord, ...]
-    # (s, (runtime, error)) of the non-dominated observations, in observation order
-    pareto: tuple[tuple[float, tuple[float, float]], ...]
+    pareto: tuple[Observation, ...]  # the non-dominated (runtime, error) observations, in observation order
     regret_trace: tuple[tuple[float, float], ...]  # cumulative (runtime, error) regret
 
 
@@ -322,31 +309,28 @@ def tune(
     rng = np.random.default_rng(seed)
     incumbent = initial_paths
     obs: list[Observation] = []
-    records: list[IterationRecord] = []
 
     def c_of(scales: np.ndarray) -> np.ndarray:
         if incumbent is None:
             return np.zeros(scales.shape)
         return np.broadcast_to(np.asarray(error_fn(scales, incumbent), dtype=float), scales.shape)
 
-    def observe(s: float, lcb_v: float | None, score_v: float | None, post: SurrogatePosterior | None = None) -> None:
+    def observe(s: float, *pick: float) -> None:
+        """Evaluate s; pick is (lcb, score, ell, sf2, sn2) of the surrogate pick, empty for bootstrap."""
         nonlocal incumbent
         runtime, success, paths = eval_fn(float(s))
         if success and paths is not None:
             incumbent = paths
         err = c_of(np.array([float(s)]))[0]
-        o = Observation(float(s), float(runtime), bool(success), float(err))
-        obs.append(o)
-        fitted = (post.ell, post.sf2, post.sn2) if post is not None else (None, None, None)
-        records.append(IterationRecord(len(obs), o.s, o.runtime, o.error, o.success, lcb_v, score_v, *fitted))
+        obs.append(Observation(float(s), float(runtime), bool(success), float(err), *pick))
 
     lo, hi = config.s_min, config.s_max
     if lo == hi:
-        observe(lo, None, None)
-        return _wrap_up(obs, records)
+        observe(lo)
+        return _wrap_up(obs)
     bootstrap = [lo, hi, math.sqrt(lo * hi)][: config.budget]
     for s0 in bootstrap:
-        observe(s0, None, None)
+        observe(s0)
     while len(obs) < config.budget:
         t_next = len(obs) + 1
         post = fit_surrogate(obs, bounds=(lo, hi), restarts=config.restarts, seed=seed * 100003 + t_next)
@@ -358,8 +342,8 @@ def tune(
         front_x, front_f = nsga2_evolve(pop0, objective, (lo, hi), config.generations, rng)
         scores = score_candidates(front_f)
         pick = int(np.argmin(scores))
-        observe(float(front_x[pick]), float(front_f[pick, 0]), float(scores[pick]), post)
-    return _wrap_up(obs, records)
+        observe(front_x[pick], float(front_f[pick, 0]), float(scores[pick]), post.ell, post.sf2, post.sn2)
+    return _wrap_up(obs)
 
 
 def _biased_population(rng: np.random.Generator, obs: list[Observation], config: TuneConfig) -> np.ndarray:
@@ -375,20 +359,20 @@ def _biased_population(rng: np.random.Generator, obs: list[Observation], config:
     return np.clip(np.concatenate([uniform, elites]), lo, hi)
 
 
-def _wrap_up(obs: list[Observation], records: list[IterationRecord]) -> TuneResult:
+def _wrap_up(obs: list[Observation]) -> TuneResult:
     successes = [o for o in obs if o.success]
     best_s = min(successes, key=lambda o: (o.runtime, o.error, o.s)).s if successes else None
     runtimes = np.array([o.runtime for o in obs])
     errors = np.array([o.error for o in obs])
     front = fast_nondominated_sort(np.column_stack([runtimes, errors]))[0]
-    pareto = tuple((obs[i].s, (obs[i].runtime, obs[i].error)) for i in front)
+    pareto = tuple(obs[i] for i in front)
     r_best = runtimes.min()
     e_best = errors.min()
     trace = tuple(
         (float(c1), float(c2))
         for c1, c2 in zip(np.cumsum(runtimes - r_best), np.cumsum(errors - e_best))
     )
-    return TuneResult(best_s, tuple(obs), tuple(records), pareto, trace)
+    return TuneResult(best_s, tuple(obs), pareto, trace)
 
 
 def tune_graph(
@@ -437,11 +421,5 @@ def tune_graph(
 
 
 def format_tune_report(result: TuneResult) -> str:
-    """CSV report, one row per true evaluation.
-
-    lcb, score and the surrogate's fitted ell, sf2 and sn2 are empty on
-    bootstrap rows.
-    """
-    lines = ["t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2"]  # runtime_s holds the runtime field
-    lines += [",".join(map(_cell, astuple(r))) for r in result.records]
-    return "\n".join(lines) + "\n"
+    """CSV report, one row per true evaluation, one column per field of Observation."""
+    return _to_csv(Observation, result.observations)

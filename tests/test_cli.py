@@ -16,7 +16,7 @@ from intmapf.cbs import Failure, SearchStats, SolveConfig
 from intmapf.cli import main
 from intmapf.graph import build_grid_graph
 from intmapf.mapio import parse_map, parse_roadmap, serialize_roadmap
-from intmapf.tuning import IterationRecord, TuneConfig, TuneResult, format_tune_report
+from intmapf.tuning import Observation, TuneConfig, TuneResult, format_tune_report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MAP = str(FIXTURES / "tiny.map")
@@ -207,7 +207,7 @@ def test_scale_flag_beats_a_config_tune(tmp_path, capsys, monkeypatch):
 
 def test_config_scale_flags_set_the_scale(tmp_path, capsys, monkeypatch):
     tuned = []
-    monkeypatch.setattr(cli, "tune_graph", lambda *args, **kwargs: tuned.append(1) or TuneResult(0.75, (), (), (), ()))
+    monkeypatch.setattr(cli, "tune_graph", lambda *args, **kwargs: tuned.append(1) or TuneResult(0.75, (), (), ()))
     for text, s_used, tunes in (
         ("baseline = true\n", "1.0", 0),
         ("tune = true\n", "0.75", 1),
@@ -266,7 +266,7 @@ def test_tune_reports_and_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0] == "t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2"
+    assert lines[0] == "s,runtime,success,error,lcb,score,ell,sf2,sn2"
     assert len([l for l in lines if l and l[0].isdigit()]) == 4
     assert any(l.startswith("best_s=") for l in lines)
 
@@ -290,7 +290,7 @@ def test_tune_out_file(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert report.read_text().startswith("t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2\n")
+    assert report.read_text().startswith("s,runtime,success,error,lcb,score,ell,sf2,sn2\n")
 
 
 # ---------------------------------------------------------------- bench
@@ -359,8 +359,10 @@ def test_bench_defaults_come_from_desk_suite(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- golden text
 
 # hand-made records and, byte for byte, the text the hand-written writers
-# printed for them before the writers followed the dataclass fields; the one
-# difference is the results.csv column ct_nodes, now nodes_expanded
+# printed for them before the writers followed the dataclass fields; the
+# differences are the results.csv column ct_nodes, now nodes_expanded, and the
+# tune report, whose columns are now the fields of Observation in field order
+# (no t column, runtime_s is runtime)
 _GOLDEN_ROWS = (
     ResultRow("line-3", None, 2, 0, "baseline", True, 4, 0.125, 3, 7, 1.0, 0.0),
     ResultRow("m", 3, 4, 1, "tuned", True, 10, 0.5, 5, 9, 0.7071067811865476, 1.2345678901234567),
@@ -394,14 +396,14 @@ def test_writers_match_the_golden_text():
     assert summary_to_csv(summaries) == _GOLDEN_SUMMARY_CSV
     assert plot_data(summaries, "success_rate") == _GOLDEN_SUCCESS_DAT
     assert plot_data(summaries, "mean_runtime_s") == _GOLDEN_RUNTIME_DAT
-    records = (
-        IterationRecord(1, 0.5, 0.0123, 2.5, True, None, None, None, None, None),
-        IterationRecord(4, 0.8660254037844386, 0.01, 1.25, False, -0.3, 0.75, 0.42, 1.7, 1e-08),
+    observations = (
+        Observation(0.5, 0.0123, True, 2.5),
+        Observation(0.8660254037844386, 0.01, False, 1.25, -0.3, 0.75, 0.42, 1.7, 1e-08),
     )
-    assert format_tune_report(TuneResult(0.5, (), records, (), ())) == (
-        "t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2\n"
-        "1,0.5,0.0123,2.5,true,,,,,\n"
-        "4,0.8660254037844386,0.01,1.25,false,-0.3,0.75,0.42,1.7,1e-08\n"
+    assert format_tune_report(TuneResult(0.5, observations, (), ())) == (
+        "s,runtime,success,error,lcb,score,ell,sf2,sn2\n"
+        "0.5,0.0123,true,2.5,,,,,\n"
+        "0.8660254037844386,0.01,false,1.25,-0.3,0.75,0.42,1.7,1e-08\n"
     )
 
 

@@ -101,6 +101,32 @@ def test_scalar_and_array_queries_agree():
     assert (one[0][0], one[1][0]) == (pytest.approx(mu[1]), pytest.approx(sd[1]))
 
 
+def test_each_scale_predicts_the_same_bits_in_any_query():
+    # a scale's mean is a function of that scale alone: a subset query and a
+    # scalar query give exactly the full query's mean, so NSGA-II's bound does
+    # not depend on the rest of its population.  The std is exact too for
+    # queries of two or more scales; a one-scale query's triangular solve can
+    # round its last bit differently, so there it is only checked to 1e-12.
+    rng = np.random.default_rng(55)
+    for _ in range(12):
+        n = int(rng.integers(3, 26))
+        xs = rng.uniform(0.1, 1.0, size=n)
+        obs = _obs(zip(xs.tolist(), np.exp(rng.normal(size=n)).tolist()))
+        post = fit_surrogate(obs, bounds=(0.1, 1.0), restarts=2, seed=int(rng.integers(1000)))
+        q = rng.uniform(0.1, 1.0, size=40)
+        mu, sd = post.predict(q)
+        for size in (2, 3, 5, 8, 13, 20, 39):
+            idx = rng.choice(len(q), size=size, replace=False)
+            sub_mu, sub_sd = post.predict(q[idx])
+            assert sub_mu.tolist() == mu[idx].tolist()
+            assert sub_sd.tolist() == sd[idx].tolist()
+        for i, s in enumerate(q.tolist()):
+            for query in (s, np.array([s])):
+                one_mu, one_sd = post.predict(query)
+                assert np.ravel(one_mu).tolist() == [mu[i]]
+                assert np.ravel(one_sd) == pytest.approx([sd[i]], rel=1e-12, abs=1e-15)
+
+
 def test_duplicate_scales_fit_without_blowup():
     post = fit_surrogate(_obs([(0.5, 1.0), (0.5, 4.0), (1.0, 2.0)]), seed=4)
     mu, sd = post.predict(0.7)
@@ -287,7 +313,7 @@ def test_score_shape_mismatch_raises():
 
 def test_pick_scores_the_fronts_own_rows(monkeypatch):
     # the pick is the front row with the least score_candidates score, and
-    # its record holds that row's lcb and score, with nothing recomputed
+    # its observation holds that row's lcb and score, with nothing recomputed
     fronts = []
 
     def evolve(*args):
@@ -299,7 +325,7 @@ def test_pick_scores_the_fronts_own_rows(monkeypatch):
     cfg = TuneConfig(s_min=0.05, s_max=1.0, budget=8, population=8, generations=4)
     out = tune(_parabola_eval, lambda s, p: np.abs(np.sin(9.0 * s)), cfg, seed=6, initial_paths=[[0]])
     assert len(fronts) == 5
-    for r, (front_x, front_f) in zip(out.records[3:], fronts):
+    for r, (front_x, front_f) in zip(out.observations[3:], fronts):
         scores = score_candidates(front_f)
         pick = int(np.argmin(scores))
         assert (r.s, r.lcb, r.score) == (front_x[pick], front_f[pick, 0], scores[pick])
@@ -330,8 +356,7 @@ def _scripted_pareto(script):
 
 
 def _front_obs(res, front):
-    obs = res.observations
-    return tuple((obs[i].s, (obs[i].runtime, obs[i].error)) for i in front)
+    return tuple(res.observations[i] for i in front)
 
 
 def test_archive_keeps_only_nondominated():
@@ -393,23 +418,23 @@ def test_tune_regret_growth_slows():
 def test_tune_records_and_bootstrap_shape():
     cfg = TuneConfig(s_min=0.1, s_max=0.9, budget=6, population=8, generations=4)
     out = tune(_parabola_eval, _zero_error, cfg, seed=0)
-    assert [r.t for r in out.records] == [1, 2, 3, 4, 5, 6]
-    boot = [r for r in out.records if r.lcb is None]
+    assert len(out.observations) == 6
+    boot = [r for r in out.observations if r.lcb is None]
     assert len(boot) == 3
     assert {r.s for r in boot[:2]} == {0.1, 0.9}
     assert boot[2].s == pytest.approx(math.sqrt(0.1 * 0.9))
-    assert all(r.score is not None for r in out.records[3:])
+    assert all(r.score is not None for r in out.observations[3:])
 
 
 def test_records_carry_the_fitted_hyperparameters():
     cfg = TuneConfig(s_min=0.05, s_max=1.0, budget=7, population=8, generations=4, restarts=3)
     seed = 4
     out = tune(_parabola_eval, _zero_error, cfg, seed=seed)
-    for r in out.records[:3]:
+    for r in out.observations[:3]:
         assert (r.ell, r.sf2, r.sn2) == (None, None, None)
-    for r in out.records[3:]:
+    for i, r in enumerate(out.observations[3:], start=3):  # evaluation t = i + 1
         post = fit_surrogate(
-            out.observations[: r.t - 1], bounds=(cfg.s_min, cfg.s_max), restarts=cfg.restarts, seed=seed * 100003 + r.t
+            out.observations[:i], bounds=(cfg.s_min, cfg.s_max), restarts=cfg.restarts, seed=seed * 100003 + i + 1
         )
         assert (r.ell, r.sf2, r.sn2) == (post.ell, post.sf2, post.sn2)
 
@@ -429,7 +454,7 @@ def test_tune_degenerate_range_is_one_evaluation():
     assert len(out.observations) == 1
     assert out.observations[0].s == 0.7
     assert out.best_s == 0.7
-    assert out.records[0].lcb is None
+    assert out.observations[0].lcb is None
 
 
 def test_tune_total_failure_uses_incumbent_error():
@@ -516,7 +541,7 @@ def _small_roadmap(seed, n=16, k=2):
 
 def test_batched_error_keeps_every_pick():
     # tune scores a whole population per error_fn call; feeding it the same
-    # errors one scale at a time must give the same observations and records
+    # errors one scale at a time must give the same observations, picks included
     from intmapf import Solution, SolveConfig, discretize, shortest_path, solve
 
     g = _small_roadmap(0)
@@ -542,7 +567,6 @@ def test_batched_error_keeps_every_pick():
     a = tune(eval_fn, batched, cfg, seed=2, initial_paths=initial)
     b = tune(eval_fn, one_at_a_time, cfg, seed=2, initial_paths=initial)
     assert a.observations == b.observations
-    assert a.records == b.records
     # neither objective is flat, so both steer the picks
     assert len({o.runtime for o in a.observations}) > 2 and len({o.error for o in a.observations}) > 2
     assert len(batched_calls) <= cfg.budget + (cfg.budget - 3) * (cfg.generations + 1)
@@ -565,14 +589,14 @@ def test_format_tune_report_layout():
     out = tune(_parabola_eval, _zero_error, cfg, seed=0)
     text = format_tune_report(out)
     lines = text.splitlines()
-    assert lines[0] == "t,s,runtime_s,error,success,lcb,score,ell,sf2,sn2"
+    assert lines[0] == "s,runtime,success,error,lcb,score,ell,sf2,sn2"
     assert len(lines) == 5
     assert text.endswith("\n")
     row1 = lines[1].split(",")
-    assert row1[0] == "1" and row1[4] == "true" and row1[5] == "" and row1[6] == ""
-    assert row1[7:] == ["", "", ""]  # bootstrap rows have no surrogate
+    assert float(row1[0]) == out.observations[0].s and row1[2] == "true"
+    assert row1[4:] == ["", "", "", "", ""]  # bootstrap rows have no pick and no surrogate
     row4 = lines[4].split(",")
-    r4 = out.records[3]
-    assert float(row4[1]) == r4.s
-    assert float(row4[6]) == r4.score
-    assert [float(v) for v in row4[7:]] == [r4.ell, r4.sf2, r4.sn2]
+    r4 = out.observations[3]
+    assert float(row4[0]) == r4.s
+    assert float(row4[5]) == r4.score
+    assert [float(v) for v in row4[6:]] == [r4.ell, r4.sf2, r4.sn2]
