@@ -186,7 +186,7 @@ def _tuned_scale(case: MapCase, spec: ExperimentSpec) -> TuningRecord:
         population=12,
         generations=10,
         eval_timeout=3.0 if spec.solver.timeout is None else min(3.0, spec.solver.timeout),
-        restarts=4,
+        restarts=4,  # starts of the first of the 3 fits; the other 2 start from the previous pick
     )
     n = min(max(spec.agent_counts), len(case.scenarios[0]))
     inst = _case_instance(case, _cell_ids(case), 0, n)

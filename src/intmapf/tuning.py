@@ -5,16 +5,19 @@ scale s, solve, measure wall time.  A Gaussian-process surrogate is fit to
 log(runtime + 1e-3) with inputs normalized to [0, 1] and targets standardized,
 its length scale, signal variance and noise variance set by L-BFGS-B on the
 marginal likelihood with the analytic gradient (Rasmussen & Williams 2006,
-eq. 5.9).  A lower confidence bound built from the surrogate's mean and
-standard deviation (one kernel vector per query) trades off against the
-discretization error C(s) of the incumbent plans in a small NSGA-II run.  The
-front's own (lcb, C) rows are scored, each column min-max normalized, and the
-member with the least sum becomes the next true evaluation.
+eq. 5.9).  The first fit of a tune runs from seeded random starts; each later
+fit starts from the previous pick's fitted hyperparameters and the default
+start, and draws none.  A lower confidence bound built from the surrogate's
+mean and standard deviation (one kernel vector per query) trades off against
+the discretization error C(s) of the incumbent plans in a small NSGA-II run.
+The front's own (lcb, C) rows are scored, each column min-max normalized, and
+the member with the least sum becomes the next true evaluation.
 Timed-out evaluations are charged the full timeout as their runtime, so the
 surrogate learns to avoid them.  Each true evaluation is recorded once, as an
-Observation that also carries the pick behind it (its lcb, score and the
-surrogate's fitted hyperparameters); format_tune_report writes those fields
-as CSV columns.
+Observation that also carries the pick behind it (its lcb, score, the
+surrogate's fitted hyperparameters, and that fit's negative log marginal
+likelihood and L-BFGS-B evaluation count); format_tune_report writes those
+fields as CSV columns.
 
 The loop itself is solver-agnostic: it takes an eval function mapping s to
 (runtime, success, paths) and an error function mapping (scales, paths) to
@@ -62,8 +65,9 @@ class Observation:
     """One true evaluation of the solver at scale s, and the pick that chose it.
 
     lcb and score are the picked front row's; ell, sf2 and sn2 are the fitted
-    hyperparameters of the surrogate behind the pick.  All five are None for
-    bootstrap evaluations.
+    hyperparameters of the surrogate behind the pick, nll that fit's negative
+    log marginal likelihood and nfev its L-BFGS-B objective evaluations.  All
+    seven are None for bootstrap evaluations.
     """
 
     s: float
@@ -75,6 +79,8 @@ class Observation:
     ell: float | None = None
     sf2: float | None = None
     sn2: float | None = None
+    nll: float | None = None
+    nfev: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +91,9 @@ class SurrogatePosterior:
     scalar or an array and returns (mean, std), each of the input's shape;
     std is the posterior standard deviation of the latent function
     (observation noise excluded), clamped at zero.  Each scale's mean depends
-    on that scale alone, not on the others queried with it.
+    on that scale alone, not on the others queried with it.  nll is the
+    fitted negative log marginal likelihood, nfev the L-BFGS-B objective
+    evaluations summed over the fit's starts.
     """
 
     x_norm: np.ndarray
@@ -96,6 +104,8 @@ class SurrogatePosterior:
     sn2: float
     x_lo: float
     x_span: float
+    nll: float
+    nfev: int
 
     def predict(self, s):
         q = (np.atleast_1d(np.asarray(s, dtype=float)) - self.x_lo) / self.x_span
@@ -152,14 +162,18 @@ def fit_surrogate(
     *,
     restarts: int = 8,
     seed: int = 0,
+    start: tuple[float, float, float] | None = None,
 ) -> SurrogatePosterior:
     """Fit the GP to the observations by marginal-likelihood maximization.
 
     Needs at least 2 observations and restarts >= 1.  Hyperparameters (length
     scale, signal variance and noise variance) are optimized in log space by
-    multi-start L-BFGS-B on the analytic likelihood gradient (see _nll), with
-    seeded restart draws, so a fixed seed yields a fixed posterior.  Failed
-    evaluations participate with their penalty runtime.
+    multi-start L-BFGS-B on the analytic likelihood gradient (see _nll).
+    Without start, the starts are a fixed default and restarts - 1 seeded
+    random draws, so a fixed seed yields a fixed posterior.  Given start, an
+    (ell, sf2, sn2) such as the previous fit's, the fit runs from start and
+    the default only, and restarts and seed go unused.  Failed evaluations
+    participate with their penalty runtime.
     """
     if len(observations) < 2:
         raise ValueError(f"surrogate needs >= 2 observations, got {len(observations)}")
@@ -182,15 +196,17 @@ def fit_surrogate(
         (math.log(1e-4), math.log(1e2)),
         (math.log(1e-8), math.log(10.0)),
     ]
-    start0 = [math.log(0.3), math.log(1.0), math.log(1e-2)]
-    rng = np.random.default_rng(seed)
+    start0 = np.array([math.log(0.3), math.log(1.0), math.log(1e-2)])
+    if start is not None:
+        starts = [np.log(start), start0]  # minimize clips a start onto the bounds
+    else:
+        rng = np.random.default_rng(seed)
+        draws = [np.array([rng.uniform(lo, hi) for lo, hi in log_bounds]) for _ in range(restarts - 1)]
+        starts = [start0, *draws]
     best_params: np.ndarray | None = None
     best_val = math.inf
-    for r in range(restarts):
-        if r == 0:
-            p0 = np.array(start0)
-        else:
-            p0 = np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
+    nfev = 0
+    for p0 in starts:
         res = minimize(
             _nll,
             p0,
@@ -199,6 +215,7 @@ def fit_surrogate(
             method="L-BFGS-B",
             bounds=log_bounds,
         )
+        nfev += int(res.nfev)
         val = float(res.fun)
         if val < best_val:
             best_val = val
@@ -209,7 +226,7 @@ def fit_surrogate(
     if info != 0:
         raise np.linalg.LinAlgError(f"kernel matrix is not positive definite (dpotrf info {info})")
     alpha, _ = dpotrs(L, y, lower=1)
-    return SurrogatePosterior(x_norm, alpha, L, ell, sf2, sn2, x_lo, x_span)
+    return SurrogatePosterior(x_norm, alpha, L, ell, sf2, sn2, x_lo, x_span, best_val, nfev)
 
 
 def lcb(post: SurrogatePosterior, s, t: int, delta: float):
@@ -253,7 +270,7 @@ class TuneConfig:
     generations: int = 30
     delta: float = 0.1
     eval_timeout: float | None = None
-    restarts: int = 8
+    restarts: int = 8  # L-BFGS-B starts of a tune's first fit; each later fit starts from the previous pick
 
     def __post_init__(self) -> None:
         if not (0 < self.s_min <= self.s_max and math.isfinite(self.s_max)):
@@ -303,8 +320,10 @@ def tune(
     scalar return counts for every scale.  Before any incumbent exists the
     error is 0.  Bootstrap evaluations cover s_min, s_max, and their geometric
     mean; after that every pick comes from an NSGA-II front over (lcb, error)
-    scored by score_candidates.  Identical seeds and a deterministic eval_fn
-    give an identical observation sequence.
+    scored by score_candidates.  The first surrogate fit runs from
+    config.restarts seeded starts; each later one starts from the previous
+    pick's hyperparameters and the default start.  Identical seeds and a
+    deterministic eval_fn give an identical observation sequence.
     """
     rng = np.random.default_rng(seed)
     incumbent = initial_paths
@@ -316,7 +335,7 @@ def tune(
         return np.broadcast_to(np.asarray(error_fn(scales, incumbent), dtype=float), scales.shape)
 
     def observe(s: float, *pick: float) -> None:
-        """Evaluate s; pick is (lcb, score, ell, sf2, sn2) of the surrogate pick, empty for bootstrap."""
+        """Evaluate s; pick is (lcb, score, ell, sf2, sn2, nll, nfev) of the surrogate pick, empty for bootstrap."""
         nonlocal incumbent
         runtime, success, paths = eval_fn(float(s))
         if success and paths is not None:
@@ -333,7 +352,9 @@ def tune(
         observe(s0)
     while len(obs) < config.budget:
         t_next = len(obs) + 1
-        post = fit_surrogate(obs, bounds=(lo, hi), restarts=config.restarts, seed=seed * 100003 + t_next)
+        last = obs[-1]
+        warm = None if last.ell is None else (last.ell, last.sf2, last.sn2)
+        post = fit_surrogate(obs, bounds=(lo, hi), restarts=config.restarts, seed=seed * 100003 + t_next, start=warm)
         pop0 = _biased_population(rng, obs, config)
 
         def objective(xs: np.ndarray) -> np.ndarray:
@@ -342,7 +363,8 @@ def tune(
         front_x, front_f = nsga2_evolve(pop0, objective, (lo, hi), config.generations, rng)
         scores = score_candidates(front_f)
         pick = int(np.argmin(scores))
-        observe(front_x[pick], float(front_f[pick, 0]), float(scores[pick]), post.ell, post.sf2, post.sn2)
+        fit = (post.ell, post.sf2, post.sn2, post.nll, post.nfev)
+        observe(front_x[pick], float(front_f[pick, 0]), float(scores[pick]), *fit)
     return _wrap_up(obs)
 
 

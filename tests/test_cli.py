@@ -266,7 +266,7 @@ def test_tune_reports_and_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0] == "s,runtime,success,error,lcb,score,ell,sf2,sn2"
+    assert lines[0] == "s,runtime,success,error,lcb,score,ell,sf2,sn2,nll,nfev"
     assert len([l for l in lines if l and l[0].isdigit()]) == 4
     assert any(l.startswith("best_s=") for l in lines)
 
@@ -290,7 +290,7 @@ def test_tune_out_file(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert report.read_text().startswith("s,runtime,success,error,lcb,score,ell,sf2,sn2\n")
+    assert report.read_text().startswith("s,runtime,success,error,lcb,score,ell,sf2,sn2,nll,nfev\n")
 
 
 # ---------------------------------------------------------------- bench
@@ -362,7 +362,7 @@ def test_bench_defaults_come_from_desk_suite(tmp_path, monkeypatch):
 # printed for them before the writers followed the dataclass fields; the
 # differences are the results.csv column ct_nodes, now nodes_expanded, and the
 # tune report, whose columns are now the fields of Observation in field order
-# (no t column, runtime_s is runtime)
+# (no t column, runtime_s is runtime, and each pick's fit adds nll and nfev)
 _GOLDEN_ROWS = (
     ResultRow("line-3", None, 2, 0, "baseline", True, 4, 0.125, 3, 7, 1.0, 0.0),
     ResultRow("m", 3, 4, 1, "tuned", True, 10, 0.5, 5, 9, 0.7071067811865476, 1.2345678901234567),
@@ -398,12 +398,12 @@ def test_writers_match_the_golden_text():
     assert plot_data(summaries, "mean_runtime_s") == _GOLDEN_RUNTIME_DAT
     observations = (
         Observation(0.5, 0.0123, True, 2.5),
-        Observation(0.8660254037844386, 0.01, False, 1.25, -0.3, 0.75, 0.42, 1.7, 1e-08),
+        Observation(0.8660254037844386, 0.01, False, 1.25, -0.3, 0.75, 0.42, 1.7, 1e-08, -3.125, 57),
     )
     assert format_tune_report(TuneResult(0.5, observations, (), ())) == (
-        "s,runtime,success,error,lcb,score,ell,sf2,sn2\n"
-        "0.5,0.0123,true,2.5,,,,,\n"
-        "0.8660254037844386,0.01,false,1.25,-0.3,0.75,0.42,1.7,1e-08\n"
+        "s,runtime,success,error,lcb,score,ell,sf2,sn2,nll,nfev\n"
+        "0.5,0.0123,true,2.5,,,,,,,\n"
+        "0.8660254037844386,0.01,false,1.25,-0.3,0.75,0.42,1.7,1e-08,-3.125,57\n"
     )
 
 

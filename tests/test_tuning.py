@@ -5,9 +5,10 @@ fitted hyperparameters, plus analytic facts that need no reference: a
 two-point fit is antisymmetric about the midpoint, near-noiseless fits
 interpolate, and uncertainty grows away from the data.  The likelihood's
 analytic gradient is checked against central differences, and the fit's
-optimum against a finite-difference L-BFGS-B run from the same starts.  The
-loop runs on synthetic objectives with a known optimum, and on a small
-roadmap, where scoring a population's error in one call must keep every pick.
+optimum against a finite-difference L-BFGS-B run from the same starts; a fit
+started at another fit's optimum must not end worse.  The loop runs on
+synthetic objectives with a known optimum, and on a small roadmap, where
+scoring a population's error in one call must keep every pick.
 """
 
 import math
@@ -431,12 +432,53 @@ def test_records_carry_the_fitted_hyperparameters():
     seed = 4
     out = tune(_parabola_eval, _zero_error, cfg, seed=seed)
     for r in out.observations[:3]:
-        assert (r.ell, r.sf2, r.sn2) == (None, None, None)
+        assert (r.ell, r.sf2, r.sn2, r.nll, r.nfev) == (None, None, None, None, None)
     for i, r in enumerate(out.observations[3:], start=3):  # evaluation t = i + 1
+        prev = out.observations[i - 1]
+        warm = None if i == 3 else (prev.ell, prev.sf2, prev.sn2)  # the first pick's fit is cold
         post = fit_surrogate(
-            out.observations[:i], bounds=(cfg.s_min, cfg.s_max), restarts=cfg.restarts, seed=seed * 100003 + i + 1
+            out.observations[:i],
+            bounds=(cfg.s_min, cfg.s_max),
+            restarts=cfg.restarts,
+            seed=seed * 100003 + i + 1,
+            start=warm,
         )
-        assert (r.ell, r.sf2, r.sn2) == (post.ell, post.sf2, post.sn2)
+        assert (r.ell, r.sf2, r.sn2, r.nll, r.nfev) == (post.ell, post.sf2, post.sn2, post.nll, post.nfev)
+
+
+def test_later_fits_run_two_starts_each(monkeypatch):
+    runs = []
+    real = tuning.minimize
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        runs.append(int(res.nfev))
+        return res
+
+    monkeypatch.setattr(tuning, "minimize", counting)
+    cfg = TuneConfig(s_min=0.05, s_max=1.0, budget=8, population=8, generations=3, restarts=5)
+    out = tune(_parabola_eval, _zero_error, cfg, seed=1)
+    picks = out.observations[3:]
+    assert len(picks) == 5
+    assert len(runs) == cfg.restarts + 2 * (len(picks) - 1)
+    assert sum(r.nfev for r in picks) == sum(runs)
+
+
+def test_warm_start_at_the_cold_optimum_loses_nothing():
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        n = int(rng.integers(3, 20))
+        s = rng.uniform(0.1, 1.0, size=n)
+        runtimes = rng.lognormal(-3.0, 1.0, size=n)
+        obs = [Observation(float(a), float(b), True, 0.0) for a, b in zip(s, runtimes)]
+        cold = fit_surrogate(obs, bounds=(0.1, 1.0), restarts=8, seed=trial)
+        warm = fit_surrogate(obs, bounds=(0.1, 1.0), start=(cold.ell, cold.sf2, cold.sn2))
+        assert warm.nll <= cold.nll, (trial, warm.nll, cold.nll)
+        d2 = (cold.x_norm[:, None] - cold.x_norm[None, :]) ** 2
+        y_raw = np.log(runtimes + 1e-3)
+        y = (y_raw - y_raw.mean()) / y_raw.std()
+        # nll is the likelihood at the recorded hyperparameters, up to their exp/log round trip
+        assert cold.nll == pytest.approx(_nll(np.log([cold.ell, cold.sf2, cold.sn2]), d2, y)[0], rel=1e-12)
 
 
 def test_tune_is_deterministic_per_seed():
@@ -589,14 +631,15 @@ def test_format_tune_report_layout():
     out = tune(_parabola_eval, _zero_error, cfg, seed=0)
     text = format_tune_report(out)
     lines = text.splitlines()
-    assert lines[0] == "s,runtime,success,error,lcb,score,ell,sf2,sn2"
+    assert lines[0] == "s,runtime,success,error,lcb,score,ell,sf2,sn2,nll,nfev"
     assert len(lines) == 5
     assert text.endswith("\n")
     row1 = lines[1].split(",")
     assert float(row1[0]) == out.observations[0].s and row1[2] == "true"
-    assert row1[4:] == ["", "", "", "", ""]  # bootstrap rows have no pick and no surrogate
+    assert row1[4:] == [""] * 7  # bootstrap rows have no pick and no surrogate
     row4 = lines[4].split(",")
     r4 = out.observations[3]
     assert float(row4[0]) == r4.s
     assert float(row4[5]) == r4.score
-    assert [float(v) for v in row4[6:]] == [r4.ell, r4.sf2, r4.sn2]
+    assert [float(v) for v in row4[6:10]] == [r4.ell, r4.sf2, r4.sn2, r4.nll]
+    assert int(row4[10]) == r4.nfev
