@@ -1,8 +1,9 @@
 """NSGA-II for a scalar decision variable under two minimization objectives.
 
-Plain-function kernel: fast non-dominated sorting, crowding distance, binary
-tournament selection, simulated binary crossover, and polynomial mutation,
-with (mu + lambda) truncation each generation (Deb et al. 2002).  Each
+Plain-function kernel: non-dominated sorting of the two objectives by one
+sweep in O(N log N) (Jensen 2003), crowding distance, binary tournament
+selection, simulated binary crossover, and polynomial mutation, with
+(mu + lambda) truncation each generation (Deb et al. 2002).  Each
 generation sorts its parents-plus-children pool once: the survivors keep the
 pool's fronts, cut at the population size, and crowding is measured within
 the survivors' fronts, so the cut front's counts its kept members only.  The
@@ -12,6 +13,7 @@ scores for its next sample.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
@@ -35,26 +37,39 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def fast_nondominated_sort(objs: np.ndarray) -> list[list[int]]:
-    """Deb's O(M N^2) sort; returns fronts as index lists, best front first.
+    """Non-dominated fronts of an (n, 2) objective array, best front first.
 
-    Each front lists its members in ascending index order.  An empty input
-    gives one empty front, [[]].
+    A sweep (Jensen 2003): visit the points in (f1, f2) order; each joins the
+    first front whose last member does not dominate it, found by binary
+    search.  Each front lists its members in ascending index order, and an
+    empty input gives one empty front, [[]].  ±inf are ordinary values; a
+    NaN, which is neither better nor worse than anything, raises ValueError,
+    as does any width but two.
     """
     objs = np.asarray(objs, dtype=float)
-    n = len(objs)
-    if n == 0:
+    if objs.ndim != 2 or objs.shape[1] != 2:
+        raise ValueError(f"objs must have shape (n, 2), got {objs.shape}")
+    if np.isnan(objs).any():
+        raise ValueError("objs must not contain NaN")
+    if len(objs) == 0:
         return [[]]
-    a = objs[:, None, :]
-    b = objs[None, :, :]
-    dom = np.all(a <= b, axis=2) & np.any(a < b, axis=2)  # dom[p, q]: p dominates q
-    dom_count = dom.sum(axis=0)
-    front = np.flatnonzero(dom_count == 0)
+    f1, f2 = objs[:, 0].tolist(), objs[:, 1].tolist()
     fronts: list[list[int]] = []
-    while front.size:
-        fronts.append(front.tolist())
-        dom_count[front] = -1  # peeled: never counted down to zero again
-        dom_count -= dom[front].sum(axis=0)
-        front = np.flatnonzero(dom_count == 0)
+    # Each front's last member as (f2, f1).  A later point p is dominated by
+    # that member exactly when its key sorts below (p.f2, p.f1), and the keys
+    # ascend from front to front, so bisect finds p's front.
+    lasts: list[tuple[float, float]] = []
+    for i in np.lexsort((objs[:, 1], objs[:, 0])).tolist():
+        key = (f2[i], f1[i])
+        k = bisect_left(lasts, key)
+        if k == len(fronts):
+            fronts.append([i])
+            lasts.append(key)
+        else:
+            fronts[k].append(i)
+            lasts[k] = key
+    for front in fronts:
+        front.sort()
     return fronts
 
 
@@ -97,22 +112,24 @@ def _poly_mutate(x: float, lo: float, hi: float, eta: float, rng: np.random.Gene
     return x + delta * (hi - lo)
 
 
-def _rank_and_crowd(objs: np.ndarray, fronts: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    rank = np.empty(len(objs), dtype=int)
-    crowd = np.empty(len(objs))
+def _rank_and_crowd(objs: np.ndarray, fronts: list[list[int]]) -> tuple[list[int], list[float]]:
+    """Each member's front index and crowding distance, as plain lists for _tournament."""
+    rank = [0] * len(objs)
+    crowd = [0.0] * len(objs)
     for r, front in enumerate(fronts):
-        rank[front] = r
-        crowd[front] = crowding_distance(objs, front)
+        for i, d in zip(front, crowding_distance(objs, front).tolist()):
+            rank[i] = r
+            crowd[i] = d
     return rank, crowd
 
 
-def _tournament(rank: np.ndarray, crowd: np.ndarray, rng: np.random.Generator) -> int:
-    a, b = rng.integers(0, len(rank), size=2)
+def _tournament(rank: list[int], crowd: list[float], rng: np.random.Generator) -> int:
+    a, b = rng.integers(0, len(rank), size=2).tolist()
     if rank[a] != rank[b]:
-        return int(a if rank[a] < rank[b] else b)
+        return a if rank[a] < rank[b] else b
     if crowd[a] != crowd[b]:
-        return int(a if crowd[a] > crowd[b] else b)
-    return int(a)
+        return a if crowd[a] > crowd[b] else b
+    return a
 
 
 def nsga2_evolve(

@@ -34,8 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 from .cbs import Solution, SolveConfig, solve
@@ -90,10 +89,10 @@ class SurrogatePosterior:
     Squared-exponential kernel on s normalized to [0, 1].  predict accepts a
     scalar or an array and returns (mean, std), each of the input's shape;
     std is the posterior standard deviation of the latent function
-    (observation noise excluded), clamped at zero.  Each scale's mean depends
-    on that scale alone, not on the others queried with it.  nll is the
-    fitted negative log marginal likelihood, nfev the L-BFGS-B objective
-    evaluations summed over the fit's starts.
+    (observation noise excluded), clamped at zero.  Each scale's mean and
+    std depend on that scale alone, bit for bit, not on the others queried
+    with it.  nll is the fitted negative log marginal likelihood, nfev the
+    L-BFGS-B objective evaluations summed over the fit's starts.
     """
 
     x_norm: np.ndarray
@@ -113,8 +112,11 @@ class SurrogatePosterior:
         k = self.sf2 * np.exp(-0.5 * (diff / self.ell) ** 2)
         # an in-order sum per row: BLAS's k @ alpha can round a row differently with the matrix's row count
         mu = np.add.accumulate(k * self.alpha, axis=1)[:, -1]
-        v = solve_triangular(self.chol_lower, k.T, lower=True)
-        sd = np.sqrt(np.maximum(self.sf2 - np.sum(v * v, axis=0), 0.0))
+        # dtrtrs is the LAPACK call behind solve_triangular, minus its input checks.
+        # A one-column solve can round differently from the same column among
+        # others, so a one-scale query solves its column twice and keeps one.
+        v, _ = dtrtrs(self.chol_lower, k.T if len(q) > 1 else np.repeat(k.T, 2, axis=1), lower=1)
+        sd = np.sqrt(np.maximum(self.sf2 - np.sum(v * v, axis=0), 0.0))[: len(q)]
         if np.ndim(s) == 0:
             return float(mu[0]), float(sd[0])
         return mu, sd

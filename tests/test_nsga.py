@@ -1,9 +1,10 @@
 """Tests for the multi-objective GA kernel.
 
 The sorting routine is checked against an O(n^2) peeling oracle on random
-objective sets, including heavy ties and exact duplicates.  The evolve loop
-gets two analytic problems: a straight trade-off front it must spread along,
-and a collapsed problem whose front is a single point it must converge to.
+objective sets, including heavy ties, exact duplicates and infinities, and
+must reject NaN.  The evolve loop gets two analytic problems: a straight
+trade-off front it must spread along, and a collapsed problem whose front is
+a single point it must converge to.
 It must also return exactly what a loop that sorts every population afresh
 returns, on objectives with trade-offs, ties and duplicates.
 """
@@ -61,10 +62,30 @@ def test_sort_matches_peeling_oracle():
             cases.append(rng.random((n, 2)))
         else:
             cases.append(rng.integers(0, 5, size=(n, 2)).astype(float))  # lots of ties
+    # infinities are ordinary values: they tie with each other and dominate or lose like any other
+    cases += [
+        np.array([[np.inf, 0.0], [0.0, np.inf], [np.inf, np.inf], [-np.inf, 1.0], [1.0, -np.inf], [np.inf, np.inf]]),
+        np.array([[-np.inf, -np.inf], [-np.inf, 0.0], [0.0, -np.inf], [-np.inf, -np.inf], [np.inf, -np.inf]]),
+    ]
+    for _ in range(100):
+        objs = rng.integers(-2, 3, size=(pr.randint(1, 64), 2)).astype(float)
+        u = rng.random(objs.shape)
+        objs[u < 0.15] = np.inf
+        objs[u > 0.85] = -np.inf
+        cases.append(objs)
     for objs in cases:
         got = fast_nondominated_sort(objs)
         assert got == pareto_fronts_peel(objs)
         assert sorted(i for f in got for i in f) == list(range(len(objs)))
+
+
+def test_sort_rejects_nan_and_other_widths():
+    # a NaN is neither better nor worse than anything, so no front is right for it
+    with pytest.raises(ValueError, match="NaN"):
+        fast_nondominated_sort(np.array([[0.0, 1.0], [np.nan, 0.5], [1.0, 0.0]]))
+    for objs in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(3)):
+        with pytest.raises(ValueError, match="shape"):
+            fast_nondominated_sort(objs)
 
 
 def test_crowding_hand_case():

@@ -8,7 +8,8 @@ analytic gradient is checked against central differences, and the fit's
 optimum against a finite-difference L-BFGS-B run from the same starts; a fit
 started at another fit's optimum must not end worse.  The loop runs on
 synthetic objectives with a known optimum, and on a small roadmap, where
-scoring a population's error in one call must keep every pick.
+scoring a population's error in one call must keep every pick; one seeded
+tune's picks are pinned to the last bit.
 """
 
 import math
@@ -103,11 +104,9 @@ def test_scalar_and_array_queries_agree():
 
 
 def test_each_scale_predicts_the_same_bits_in_any_query():
-    # a scale's mean is a function of that scale alone: a subset query and a
-    # scalar query give exactly the full query's mean, so NSGA-II's bound does
-    # not depend on the rest of its population.  The std is exact too for
-    # queries of two or more scales; a one-scale query's triangular solve can
-    # round its last bit differently, so there it is only checked to 1e-12.
+    # a scale's mean and std are functions of that scale alone: a subset query
+    # and a scalar query give exactly the full query's values, so NSGA-II's
+    # bound does not depend on the rest of its population.
     rng = np.random.default_rng(55)
     for _ in range(12):
         n = int(rng.integers(3, 26))
@@ -125,7 +124,7 @@ def test_each_scale_predicts_the_same_bits_in_any_query():
             for query in (s, np.array([s])):
                 one_mu, one_sd = post.predict(query)
                 assert np.ravel(one_mu).tolist() == [mu[i]]
-                assert np.ravel(one_sd) == pytest.approx([sd[i]], rel=1e-12, abs=1e-15)
+                assert np.ravel(one_sd).tolist() == [sd[i]]
 
 
 def test_duplicate_scales_fit_without_blowup():
@@ -488,6 +487,29 @@ def test_tune_is_deterministic_per_seed():
     assert a.observations == b.observations
     c = tune(_parabola_eval, _zero_error, cfg, seed=10)
     assert a.observations != c.observations
+
+
+# float.hex of each observation's s, recorded before the two-objective sweep
+# sort, plain-list tournaments and the direct triangular solve went in
+_PINNED_PICKS = [
+    "0x1.999999999999ap-4", "0x1.3333333333333p-1", "0x1.f5a7cecdb684ap-3", "0x1.025b4666c8c50p-2",
+    "0x1.cfaf614d187e2p-3", "0x1.a8ec8a5cbeaa9p-2", "0x1.edeadbae24258p-2", "0x1.80d068cf36a4dp-2",
+    "0x1.7302a07e17d07p-2", "0x1.796626505e2c1p-2", "0x1.6e3f9182702a0p-2", "0x1.705bd5ff9c5a4p-2",
+]
+
+
+def test_picks_do_not_drift():
+    # per-seed determinism cannot see a sort, crowding or tournament change
+    # that moves a pick; this pins one seeded tune's picks to the last bit,
+    # on criterion 6's noisy objective with an error that trades off against it
+    noise = np.random.default_rng(9010)
+
+    def eval_fn(s):
+        return max((s - 0.3) ** 2 + 0.01 + noise.normal(0.0, 0.005), 0.0), True, None
+
+    cfg = TuneConfig(s_min=0.1, s_max=0.6, budget=12)
+    out = tune(eval_fn, lambda s, _p: np.abs(s - 0.45), cfg, seed=10, initial_paths=[[0]])
+    assert [o.s.hex() for o in out.observations] == _PINNED_PICKS
 
 
 def test_tune_degenerate_range_is_one_evaluation():
