@@ -2,17 +2,21 @@
 
 Plain-function kernel: non-dominated sorting of the two objectives by one
 sweep in O(N log N) (Jensen 2003), crowding distance, binary tournament
-selection, simulated binary crossover, and polynomial mutation, with
-(mu + lambda) truncation each generation (Deb et al. 2002).  Each
-generation sorts its parents-plus-children pool once: the survivors keep the
-pool's fronts, cut at the population size, and crowding is measured within
-the survivors' fronts, so the cut front's counts its kept members only.  The
-evolve loop returns the final population's first front, whose rows the tuner
-scores for its next sample.
+selection, simulated binary crossover (Deb and Agrawal 1995), and polynomial
+mutation, with (mu + lambda) truncation each generation (Deb et al. 2002).
+Each generation sorts its parents-plus-children pool once: the survivors keep
+the pool's fronts, cut at the population size, and crowding is measured
+within the survivors' fronts, so the cut front's counts its kept members
+only.  One pass over those fronts gives every survivor's rank and crowding
+distance, and the whole generation's children come from array operations
+with one draw per operator: tournaments, crossover coins, crossover and
+mutation.  The evolve loop returns the final population's first front, whose
+rows the tuner scores for its next sample.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Callable
 
@@ -28,7 +32,6 @@ __all__ = [
 ETA_C = 15.0  # simulated binary crossover distribution index
 ETA_M = 20.0  # polynomial mutation distribution index
 P_CROSSOVER = 0.9
-P_MUTATION = 1.0  # per child; the decision variable is one-dimensional
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -74,7 +77,11 @@ def fast_nondominated_sort(objs: np.ndarray) -> list[list[int]]:
 
 
 def crowding_distance(objs: np.ndarray, front: list[int]) -> np.ndarray:
-    """Crowding distance of each front member, in front order; extremes get inf."""
+    """Crowding distance of each front member, in front order; extremes get inf.
+
+    An objective whose span over the front is zero or not finite (an infinite
+    extreme) adds nothing to the inner members.
+    """
     objs = np.asarray(objs, dtype=float)
     m = len(front)
     dist = np.zeros(m)
@@ -86,50 +93,71 @@ def crowding_distance(objs: np.ndarray, front: list[int]) -> np.ndarray:
         order = np.argsort(sub[:, k], kind="stable")
         lo, hi = sub[order[0], k], sub[order[-1], k]
         dist[order[0]] = dist[order[-1]] = np.inf
-        if hi > lo:
+        if hi > lo and hi - lo < np.inf:
             gaps = (sub[order[2:], k] - sub[order[:-2], k]) / (hi - lo)
             dist[order[1:-1]] += gaps
     return dist
 
 
-def _sbx(p1: float, p2: float, eta: float, rng: np.random.Generator) -> tuple[float, float]:
-    u = rng.random()
-    if u <= 0.5:
-        beta = (2.0 * u) ** (1.0 / (eta + 1.0))
-    else:
-        beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
-    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-    return c1, c2
-
-
-def _poly_mutate(x: float, lo: float, hi: float, eta: float, rng: np.random.Generator) -> float:
-    u = rng.random()
-    if u < 0.5:
-        delta = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
-    else:
-        delta = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
-    return x + delta * (hi - lo)
-
-
 def _rank_and_crowd(objs: np.ndarray, fronts: list[list[int]]) -> tuple[list[int], list[float]]:
-    """Each member's front index and crowding distance, as plain lists for _tournament."""
+    """Each member's front index and crowding distance, in one pass over all fronts.
+
+    The same float operations in the same order as crowding_distance on each
+    front, on plain floats, so the distances are bit for bit the same.
+    """
     rank = [0] * len(objs)
     crowd = [0.0] * len(objs)
+    cols = objs.T.tolist()
     for r, front in enumerate(fronts):
-        for i, d in zip(front, crowding_distance(objs, front).tolist()):
+        for i in front:
             rank[i] = r
-            crowd[i] = d
+        if len(front) <= 2:
+            for i in front:
+                crowd[i] = math.inf
+            continue
+        for col in cols:
+            order = sorted(front, key=col.__getitem__)
+            lo, hi = col[order[0]], col[order[-1]]
+            crowd[order[0]] = crowd[order[-1]] = math.inf
+            if hi > lo and hi - lo < math.inf:
+                span = hi - lo
+                for prev, i, nxt in zip(order, order[1:-1], order[2:]):
+                    crowd[i] += (col[nxt] - col[prev]) / span
     return rank, crowd
 
 
-def _tournament(rank: list[int], crowd: list[float], rng: np.random.Generator) -> int:
-    a, b = rng.integers(0, len(rank), size=2).tolist()
-    if rank[a] != rank[b]:
-        return a if rank[a] < rank[b] else b
-    if crowd[a] != crowd[b]:
-        return a if crowd[a] > crowd[b] else b
-    return a
+def _variation(
+    x: np.ndarray, rank: list[int], crowd: list[float], lo: float, hi: float, rng: np.random.Generator
+) -> np.ndarray:
+    """A generation's n children from x, with one draw per operator.
+
+    Binary tournaments pick 2m parents, m = ceil(n / 2): the lower rank wins,
+    then the larger crowding distance, then the first of the pair.  Parents
+    2j and 2j + 1 cross by simulated binary crossover with probability
+    P_CROSSOVER, giving children 2j and 2j + 1; the last child of an odd n is
+    dropped.  Every child then takes a polynomial mutation: its probability is
+    1 for a one-dimensional decision variable, so no per-child coin is drawn.
+    Children are clipped to [lo, hi].  Draws, in order: the tournament pairs,
+    the crossover coins, SBX's u, mutation's u.
+    """
+    n = len(x)
+    m = (n + 1) // 2
+    rank = np.asarray(rank)
+    crowd = np.asarray(crowd, dtype=float)
+    a, b = rng.integers(0, n, size=(2 * m, 2)).T
+    b_wins = (rank[b] < rank[a]) | ((rank[b] == rank[a]) & (crowd[b] > crowd[a]))
+    parents = x[np.where(b_wins, b, a)]
+    p1, p2 = parents[0::2], parents[1::2]
+    cross = rng.random(m) <= P_CROSSOVER
+    u = rng.random(m)
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (ETA_C + 1.0))
+    kids = np.empty(2 * m)
+    kids[0::2] = np.where(cross, 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2), p1)
+    kids[1::2] = np.where(cross, 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2), p2)
+    u = rng.random(n)
+    e = 1.0 / (ETA_M + 1.0)
+    delta = np.where(u < 0.5, (2.0 * u) ** e - 1.0, 1.0 - (2.0 * (1.0 - u)) ** e)
+    return np.clip(kids[:n] + delta * (hi - lo), lo, hi)
 
 
 def nsga2_evolve(
@@ -155,20 +183,7 @@ def nsga2_evolve(
     fronts = fast_nondominated_sort(f)
     for _ in range(generations):
         rank, crowd = _rank_and_crowd(f, fronts)
-        kids: list[float] = []
-        while len(kids) < n:
-            p1 = x[_tournament(rank, crowd, rng)]
-            p2 = x[_tournament(rank, crowd, rng)]
-            if rng.random() <= P_CROSSOVER:
-                c1, c2 = _sbx(p1, p2, ETA_C, rng)
-            else:
-                c1, c2 = p1, p2
-            if rng.random() <= P_MUTATION:
-                c1 = _poly_mutate(c1, lo, hi, ETA_M, rng)
-            if rng.random() <= P_MUTATION:
-                c2 = _poly_mutate(c2, lo, hi, ETA_M, rng)
-            kids.extend((c1, c2))
-        cx = np.clip(np.array(kids[:n]), lo, hi)
+        cx = _variation(x, rank, crowd, lo, hi, rng)
         cf = _eval_objs(objective, cx)
         pool_x = np.concatenate([x, cx])
         pool_f = np.concatenate([f, cf])

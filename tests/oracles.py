@@ -412,6 +412,22 @@ def pareto_fronts_peel(objs: np.ndarray) -> list[list[int]]:
     return fronts
 
 
+def grid_front_gap(objective, lo: float, hi: float, rows, m: int = 10001) -> float:
+    """Additive epsilon-indicator of rows against the objective sampled on a grid.
+
+    objective maps an (m,) array of decision values to an (m, 2) array to
+    minimize, as nsga2_evolve's objective does; it is evaluated at m evenly
+    spaced points of [lo, hi].  A grid point g still dominates row r moved by
+    eps in both objectives while eps <= min(r - g), so the gap is the largest
+    min(r - g) over grid points and rows, and 0 when no grid point dominates
+    any row.  Finite values only.
+    """
+    grid = np.asarray(objective(np.linspace(lo, hi, m)), dtype=float)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    shift = np.minimum(rows[:, None, 0] - grid[None, :, 0], rows[:, None, 1] - grid[None, :, 1])
+    return max(0.0, float(shift.max()))
+
+
 # ---------------------------------------------------------------------------
 # Gaussian process posterior from first principles
 

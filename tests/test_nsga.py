@@ -2,7 +2,10 @@
 
 The sorting routine is checked against an O(n^2) peeling oracle on random
 objective sets, including heavy ties, exact duplicates and infinities, and
-must reject NaN.  The evolve loop gets two analytic problems: a straight
+must reject NaN.  The one-pass rank and crowding must give per-front
+crowding_distance bit for bit on such sets, and the whole-generation
+variation must pick tournament winners by the scalar rule and keep its
+children in bounds.  The evolve loop gets two analytic problems: a straight
 trade-off front it must spread along, and a collapsed problem whose front is
 a single point it must converge to.
 It must also return exactly what a loop that sorts every population afresh
@@ -19,17 +22,15 @@ from intmapf.nsga import (
     ETA_C,
     ETA_M,
     P_CROSSOVER,
-    P_MUTATION,
     _eval_objs,
-    _poly_mutate,
-    _sbx,
-    _tournament,
+    _rank_and_crowd,
+    _variation,
     crowding_distance,
     dominates,
     fast_nondominated_sort,
 )
 
-from oracles import pareto_fronts_peel
+from oracles import grid_front_gap, pareto_fronts_peel
 
 
 def test_dominates_basics():
@@ -110,6 +111,138 @@ def test_crowding_flat_objective_adds_nothing():
     assert dist[2] == pytest.approx(2.0 / 3.0)
 
 
+def test_crowding_infinite_extreme_adds_nothing():
+    # the first objective's span is inf, so only the second one's gaps count
+    objs = np.array([[0.0, 0.0], [1.0, -1.0], [np.inf, -2.0]])
+    dist = crowding_distance(objs, [0, 1, 2])
+    assert dist.tolist() == [np.inf, 1.0, np.inf]
+    objs = np.array([[-np.inf, 0.0], [1.0, 1.0], [np.inf, 3.0], [2.0, 2.0]])
+    assert crowding_distance(objs, [0, 1, 2, 3]).tolist() == [np.inf, 2.0 / 3.0, np.inf, 2.0 / 3.0]
+    rank, crowd = _rank_and_crowd(objs, [[0, 1, 2, 3]])
+    assert rank == [0, 0, 0, 0] and crowd == [np.inf, 2.0 / 3.0, np.inf, 2.0 / 3.0]
+
+
+def _random_objective_sets(seed, count):
+    """Point sets of 1-44 rows: uniform reals, integer ties with duplicate rows, integers with ±inf."""
+    rng = np.random.default_rng(seed)
+    pr = random.Random(seed)
+    for t in range(count):
+        n = pr.randint(1, 44)
+        kind = t % 3
+        if kind == 0:
+            objs = rng.random((n, 2))
+        elif kind == 1:
+            objs = rng.integers(0, 5, size=(n, 2)).astype(float)
+            if pr.random() < 0.5:
+                objs[n // 2 :] = objs[: n - n // 2]  # exact duplicate rows
+        else:
+            objs = rng.integers(-2, 3, size=(n, 2)).astype(float)
+            u = rng.random(objs.shape)
+            objs[u < 0.15] = np.inf
+            objs[u > 0.85] = -np.inf
+        yield objs
+
+
+def test_rank_and_crowd_equals_per_front_crowding():
+    for objs in _random_objective_sets(22, 20_000):
+        fronts = fast_nondominated_sort(objs)
+        rank, crowd = _rank_and_crowd(objs, fronts)
+        want_rank = [0] * len(objs)
+        want_crowd = [0.0] * len(objs)
+        for r, front in enumerate(fronts):
+            for i, d in zip(front, crowding_distance(objs, front).tolist()):
+                want_rank[i] = r
+                want_crowd[i] = d
+        assert rank == want_rank
+        assert [d.hex() for d in crowd] == [d.hex() for d in want_crowd]
+
+
+class _HalfRandom:
+    """A generator whose uniforms are all 0.5: SBX then copies its parents and mutation moves nothing."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.pairs = []
+
+    def integers(self, low, high, size):
+        out = self.rng.integers(low, high, size=size)
+        self.pairs.extend(out.tolist())
+        return out
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+def _scalar_tournament(rank, crowd, a, b):
+    if rank[a] != rank[b]:
+        return a if rank[a] < rank[b] else b
+    if crowd[a] != crowd[b]:
+        return a if crowd[a] > crowd[b] else b
+    return a
+
+
+def test_variation_picks_winners_by_rank_then_crowding_then_first():
+    pr = random.Random(23)
+    for seed in range(300):
+        n = pr.randint(2, 30)
+        fronts = pr.randint(1, 4)
+        rank = [pr.randrange(fronts) for _ in range(n)]
+        crowd = [pr.choice([0.25, 0.5, 1.0, np.inf]) for _ in range(n)]  # ties are common
+        x = np.arange(n, dtype=float)  # a child's value names its parent
+        rng = _HalfRandom(seed)
+        kids = _variation(x, rank, crowd, 0.0, float(n), rng)
+        assert len(rng.pairs) == 2 * ((n + 1) // 2)
+        want = [_scalar_tournament(rank, crowd, a, b) for a, b in rng.pairs][:n]
+        assert kids.tolist() == [float(w) for w in want]
+
+
+def _scalar_variation(x, rank, crowd, lo, hi, rng):
+    """The same draws in the same order, child by child."""
+    n = len(x)
+    m = (n + 1) // 2
+    pairs = rng.integers(0, n, size=(2 * m, 2)).tolist()
+    coins = rng.random(m).tolist()
+    us = rng.random(m).tolist()
+    mut = rng.random(n).tolist()
+    kids = []
+    for j in range(m):
+        p1 = float(x[_scalar_tournament(rank, crowd, *pairs[2 * j])])
+        p2 = float(x[_scalar_tournament(rank, crowd, *pairs[2 * j + 1])])
+        if coins[j] <= P_CROSSOVER:
+            u = us[j]
+            if u <= 0.5:
+                beta = (2.0 * u) ** (1.0 / (ETA_C + 1.0))
+            else:
+                beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (ETA_C + 1.0))
+            kids += [0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2), 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)]
+        else:
+            kids += [p1, p2]
+    out = []
+    for c, u in zip(kids[:n], mut):
+        if u < 0.5:
+            delta = (2.0 * u) ** (1.0 / (ETA_M + 1.0)) - 1.0
+        else:
+            delta = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (ETA_M + 1.0))
+        out.append(min(max(c + delta * (hi - lo), lo), hi))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 19, 20])
+def test_variation_makes_n_children_in_bounds(n):
+    pr = random.Random(n)
+    for seed in range(100):
+        lo, hi = sorted(pr.uniform(-3.0, 3.0) for _ in range(2))
+        x = np.random.default_rng(seed).uniform(lo, hi, size=n)
+        rank = [pr.randrange(3) for _ in range(n)]
+        crowd = [pr.random() for _ in range(n)]
+        got = _variation(x, rank, crowd, lo, hi, np.random.default_rng(seed))
+        assert got.shape == (n,)
+        assert np.all((lo <= got) & (got <= hi))
+        want = _scalar_variation(x, rank, crowd, lo, hi, np.random.default_rng(seed))
+        # numpy's power may round differently from Python's in the last bit
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def _tradeoff(x):
     return np.stack([x, 1.0 - x], axis=1)
 
@@ -181,20 +314,7 @@ def _evolve_resorting(initial, objective, bounds, generations, rng):
         for r, front in enumerate(fast_nondominated_sort(f)):
             rank[front] = r
             crowd[front] = crowding_distance(f, front)
-        kids = []
-        while len(kids) < n:
-            p1 = x[_tournament(rank, crowd, rng)]
-            p2 = x[_tournament(rank, crowd, rng)]
-            if rng.random() <= P_CROSSOVER:
-                c1, c2 = _sbx(p1, p2, ETA_C, rng)
-            else:
-                c1, c2 = p1, p2
-            if rng.random() <= P_MUTATION:
-                c1 = _poly_mutate(c1, lo, hi, ETA_M, rng)
-            if rng.random() <= P_MUTATION:
-                c2 = _poly_mutate(c2, lo, hi, ETA_M, rng)
-            kids.extend((c1, c2))
-        cx = np.clip(np.array(kids[:n]), lo, hi)
+        cx = _variation(x, rank, crowd, lo, hi, rng)
         pool_x = np.concatenate([x, cx])
         pool_f = np.concatenate([f, _eval_objs(objective, cx)])
         chosen = []
@@ -210,6 +330,17 @@ def _evolve_resorting(initial, objective, bounds, generations, rng):
     first = fast_nondominated_sort(f)[0]
     idx = [first[i] for i in np.argsort(x[first], kind="stable")]
     return x[idx], f[idx]
+
+
+def test_grid_front_gap_hand_case():
+    grid = np.linspace(0.0, 1.0, 11)
+    # every grid point of the trade-off is on its front, so none has to move
+    assert grid_front_gap(_tradeoff, 0.0, 1.0, _tradeoff(grid), m=11) == 0.0
+    assert grid_front_gap(_tradeoff, 0.0, 1.0, [[0.0, 0.5]], m=11) == 0.0  # beats the front
+    # (0.4, 1.0) is dominated by (0.2, 0.8) with 0.2 to spare in both objectives
+    assert grid_front_gap(_tradeoff, 0.0, 1.0, [[0.4, 1.0]], m=11) == pytest.approx(0.2)
+    assert grid_front_gap(_tradeoff, 0.0, 1.0, [[0.5, 0.6], [0.4, 1.0]], m=11) == pytest.approx(0.2)
+    assert grid_front_gap(_tradeoff, 0.0, 1.0, [[0.4, 1.0]]) == pytest.approx(0.2)
 
 
 def _constant(x):

@@ -489,12 +489,12 @@ def test_tune_is_deterministic_per_seed():
     assert a.observations != c.observations
 
 
-# float.hex of each observation's s, recorded before the two-objective sweep
-# sort, plain-list tournaments and the direct triangular solve went in
+# float.hex of each observation's s, recorded when NSGA-II's variation became
+# one draw per operator per generation (the RNG stream moved, so the picks did)
 _PINNED_PICKS = [
-    "0x1.999999999999ap-4", "0x1.3333333333333p-1", "0x1.f5a7cecdb684ap-3", "0x1.025b4666c8c50p-2",
-    "0x1.cfaf614d187e2p-3", "0x1.a8ec8a5cbeaa9p-2", "0x1.edeadbae24258p-2", "0x1.80d068cf36a4dp-2",
-    "0x1.7302a07e17d07p-2", "0x1.796626505e2c1p-2", "0x1.6e3f9182702a0p-2", "0x1.705bd5ff9c5a4p-2",
+    "0x1.999999999999ap-4", "0x1.3333333333333p-1", "0x1.f5a7cecdb684ap-3", "0x1.025badf956846p-2",
+    "0x1.cfa7c498f814ap-3", "0x1.a4ead68536234p-2", "0x1.ebc7336020cbdp-2", "0x1.7a4a0ceb37753p-2",
+    "0x1.6cab981e22f19p-2", "0x1.739abe7f91810p-2", "0x1.70dd76e3aea7cp-2", "0x1.6ddf499888636p-2",
 ]
 
 
@@ -628,8 +628,8 @@ def test_batched_error_keeps_every_pick():
         return np.array([oracles.discretization_error_loop(g, float(s), paths) for s in scales])
 
     cfg = TuneConfig(s_min=0.1, s_max=1.0, budget=8, population=8, generations=4)
-    a = tune(eval_fn, batched, cfg, seed=2, initial_paths=initial)
-    b = tune(eval_fn, one_at_a_time, cfg, seed=2, initial_paths=initial)
+    a = tune(eval_fn, batched, cfg, seed=4, initial_paths=initial)
+    b = tune(eval_fn, one_at_a_time, cfg, seed=4, initial_paths=initial)
     assert a.observations == b.observations
     # neither objective is flat, so both steer the picks
     assert len({o.runtime for o in a.observations}) > 2 and len({o.error for o in a.observations}) > 2
