@@ -26,7 +26,7 @@ one solve each distinct (agent, set) pair is planned once and repeats are
 answered from a memo, which SearchStats.plans_reused counts.
 low_level_calls counts every request.
 SIPP is guided by each agent's exact distance to its goal, computed once per
-solve and goal by graph.dijkstra, one scipy.sparse.csgraph run each.
+solve by graph.dijkstra, one scipy.sparse.csgraph run for all the goals.
 
 Occupancy follows the plan steps: a step pair (u, t_a) -> (v, t_b) occupies u
 at t_a, the edge during the open span (t_a, t_b), and v at t_b; after its last
@@ -329,7 +329,7 @@ class _Ctx:
         self.stats = SearchStats()
         self.memo: dict[tuple[int, ConstraintSet], TimedPlan | None] = {}
         self.pairs = PairMemo()
-        self.dist = [dijkstra(graph, g) for g in goals]
+        self.dist = dijkstra(graph, goals)
         if config.horizon is not None:
             self.horizon = config.horizon
         else:

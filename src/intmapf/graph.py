@@ -306,27 +306,39 @@ def discretization_error(g: RealGraph, s, paths: Iterable[Sequence[int]]):
     return float(totals[0]) if scales.ndim == 0 else totals.reshape(scales.shape)
 
 
-def dijkstra(graph: _BaseGraph, source: int) -> list[float]:
+def dijkstra(graph: _BaseGraph, source: int | Sequence[int]) -> list[float] | list[list[float]]:
     """Shortest-path distances from source to every vertex (math.inf if unreachable).
 
-    One scipy.sparse.csgraph.dijkstra run over graph.csr.  Each distance is
-    the minimum over the same dist[u] + w sums a textbook Dijkstra forms, so a
-    RealGraph gets those floats exactly.  An IntGraph gets Python ints, exact
-    while every distance stays below 2**53 (ValueError past that).
+    source is one vertex (the result is one list of distances) or a sequence
+    of vertices (the result is a list of such lists, one per source, in order;
+    an empty sequence gives []).  Either way it is one
+    scipy.sparse.csgraph.dijkstra run over graph.csr, and each source's list
+    is the one a single-source call returns.  Each distance is the minimum
+    over the same dist[u] + w sums a textbook Dijkstra forms, so a RealGraph
+    gets those floats exactly.  An IntGraph gets Python ints, exact while
+    every distance stays below 2**53 (ValueError past that).  A source out of
+    range raises ValueError.
     """
-    if not (0 <= source < graph.n):
-        raise ValueError(f"source {source} out of range for {graph.n} vertices")
-    dist = _csgraph_dijkstra(graph.csr, indices=source)
+    single = np.ndim(source) == 0
+    sources = [source] if single else list(source)
+    for src in sources:
+        if not (0 <= src < graph.n):
+            raise ValueError(f"source {src} out of range for {graph.n} vertices")
+    if not sources:
+        return []
+    dist = _csgraph_dijkstra(graph.csr, indices=sources)
     if not isinstance(graph, IntGraph):
-        return dist.tolist()
-    reachable = np.isfinite(dist)
-    finite = np.where(reachable, dist, 0.0)
-    if finite.max() >= 2.0**53:
-        raise ValueError(f"distances from {source} reach 2**53, past exact float64 integers")
-    out: list[float] = finite.astype(np.int64).tolist()
-    for v in np.flatnonzero(~reachable).tolist():
-        out[v] = math.inf
-    return out
+        out = dist.tolist()
+    else:
+        reachable = np.isfinite(dist)
+        finite = np.where(reachable, dist, 0.0)
+        past = np.flatnonzero(finite.max(axis=1) >= 2.0**53)
+        if len(past):
+            raise ValueError(f"distances from {sources[past[0]]} reach 2**53, past exact float64 integers")
+        out = finite.astype(np.int64).tolist()
+        for row, v in np.argwhere(~reachable).tolist():
+            out[row][v] = math.inf
+    return out[0] if single else out
 
 
 def shortest_path(graph: _BaseGraph, source: int, target: int) -> list[int] | None:

@@ -27,6 +27,14 @@ the state's arrival time; every move that reaches a state has already been
 checked against them, so the index is a count, not a second check.  Within
 one safe interval and waypoint index an earlier arrival dominates, which
 keeps the state space finite even with no horizon.
+
+Most moves need none of that machinery.  A neighbour with no ban, reached
+over an edge with no ban while no waypoint is pending, has one candidate:
+departure at the arrival time, into its one interval, with the waypoint
+index unchanged.  The scan for a clear departure runs only where a ban or
+a pending waypoint can delay a move, and the waypoint work (the leave-by
+cut, the wait-to-waypoint transition, the traversal check and the new
+waypoint index) only while a waypoint is pending.
 """
 
 from __future__ import annotations
@@ -224,69 +232,97 @@ def sipp_plan(
     best: dict[State, int] = {start_key: 0}
     parent: dict[State, tuple[State, int, int]] = {}  # child -> (parent, depart, arrive)
     # entries are (f, -g, vertex, counter, state); the unique counter settles
-    # every tie, so states themselves are never compared
+    # every tie, so states themselves are never compared.  A push happens only
+    # when it improves the state's best arrival, and only a push counts.
     counter = 0
     heap: list[tuple[float, int, int, int, State]] = [(dist[start], 0, start, counter, start_key)]
-
-    def push(nkey: State, d: int, t: int) -> None:
-        nonlocal counter
-        if t < best.get(nkey, math.inf):
-            best[nkey] = t
-            parent[nkey] = (key, d, t)
-            counter += 1
-            heapq.heappush(heap, (t + dist[nkey[0]], -t, nkey[0], counter, nkey))
+    heappush, heappop = heapq.heappush, heapq.heappop
+    best_get, vertex_get, edge_get = best.get, vertex.get, edge.get
+    adjacency = graph.adjacency
+    n_wps = len(wps)
+    inf = math.inf
 
     while heap:
-        _, neg_g, _, _, key = heapq.heappop(heap)
-        v, ivl, wp = key
+        _, neg_g, _, _, key = heappop(heap)
         a = -neg_g
         if a > best[key]:
             continue
-        hi = vertex.get(v, _FREE)[ivl].hi
+        v, ivl, wp = key
         # the agent must leave v before its interval ends and before the
         # first waypoint due elsewhere
-        leave_by = hi
-        for wt, wv in wps[wp:]:
-            if wv != v:
-                leave_by = min(hi, wt)
-                break
-        if v == goal and leave_by == math.inf:
+        intervals = vertex_get(v)
+        leave_by = inf if intervals is None else intervals[ivl].hi
+        pending = wp < n_wps
+        if pending:
+            for wt, wv in wps[wp:]:
+                if wv != v:
+                    if wt < leave_by:
+                        leave_by = wt
+                    break
+        if v == goal and leave_by == inf:
             return _reconstruct(parent, key, start_key)
-        # waiting in place to meet the next waypoint is its own transition;
-        # the departure scan below only ever takes the earliest departure
-        if wp < len(wps):
+        if pending:
+            # waiting in place to meet the next waypoint is its own transition;
+            # the departure scan below only ever takes the earliest departure
             wt = wps[wp][0]
             if wt < leave_by and wt + dist[v] <= limit:
-                push((v, ivl, bisect_right(due, wt)), wt, wt)
+                nkey = (v, ivl, bisect_right(due, wt))
+                if wt < best_get(nkey, inf):
+                    best[nkey] = wt
+                    parent[nkey] = (key, wt, wt)
+                    counter += 1
+                    heappush(heap, (wt + dist[v], -wt, v, counter, nkey))
         # dist is exact on an undirected graph and finite at the start, so
         # it is finite at every neighbour reached
-        for u, w in graph.adjacency[v]:
-            for jdx, (jlo, jhi) in enumerate(vertex.get(u, _FREE)):
-                d = max(a, jlo - w)
+        for u, w in adjacency[v]:
+            du = dist[u]
+            targets = vertex_get(u)
+            spans = edge_get((v, u)) if edge else None
+            if targets is None and spans is None and not pending:
+                # a free target: the earliest departure lands in its one interval
+                t = a + w
+                if a < leave_by and t + du <= limit:
+                    nkey = (u, 0, wp)
+                    if t < best_get(nkey, inf):
+                        best[nkey] = t
+                        parent[nkey] = (key, a, t)
+                        counter += 1
+                        heappush(heap, (t + du, -t, u, counter, nkey))
+                continue
+            for jdx, (jlo, jhi) in enumerate(targets or _FREE):
+                d = jlo - w
+                if d < a:
+                    d = a
                 while d < leave_by:
                     t = d + w
-                    if t >= jhi:
+                    if t >= jhi or t + du > limit:
                         break
-                    if t + dist[u] > limit:
-                        break
-                    if edge:
-                        retry = edge_block_end(edge.get((v, u), ()), w, d)
+                    if spans is not None:
+                        retry = edge_block_end(spans, w, d)
                         if retry is not None:
-                            d = max(retry, d + 1)
+                            d = retry if retry > d else d + 1
                             continue
-                    # no waypoint may fall inside the traversal, and one due
-                    # on arrival must sit at u
-                    viol = None
-                    for wt, wv in wps[wp:]:
-                        if wt > t:
-                            break
-                        if d < wt < t or (wt == t and wv != u):
-                            viol = wt
-                            break
-                    if viol is not None:
-                        d = viol if d < viol < t else d + 1
-                        continue
-                    push((u, jdx, bisect_right(due, t)), d, t)
+                    nwp = wp
+                    if pending:
+                        # no waypoint may fall inside the traversal, and one
+                        # due on arrival must sit at u
+                        viol = None
+                        for wt, wv in wps[wp:]:
+                            if wt > t:
+                                break
+                            if d < wt < t or (wt == t and wv != u):
+                                viol = wt
+                                break
+                        if viol is not None:
+                            d = viol if d < viol < t else d + 1
+                            continue
+                        nwp = bisect_right(due, t)
+                    nkey = (u, jdx, nwp)
+                    if t < best_get(nkey, inf):
+                        best[nkey] = t
+                        parent[nkey] = (key, d, t)
+                        counter += 1
+                        heappush(heap, (t + du, -t, u, counter, nkey))
                     break  # earliest departure into this interval found
     return None
 

@@ -24,6 +24,10 @@ The loop itself is solver-agnostic: it takes an eval function mapping s to
 C at each scale, which keeps it testable against synthetic objectives.  The
 error function gets a whole NSGA-II population in one call, and each true
 evaluation as a 1-element array; graph.discretization_error fits as it is.
+
+The module attribute minimize, scipy.optimize's, is imported on its first
+lookup, which the first surrogate fit makes, so a process that only solves
+never loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.optimize import minimize
 
 from .cbs import Solution, SolveConfig, solve
 from .graph import RealGraph, discretization_error, discretize, shortest_path
@@ -57,6 +60,16 @@ __all__ = [
 
 _LOG_SHIFT = 1e-3  # keeps log(runtime + shift) finite for instant solves
 _MIN_JITTER = 1e-8
+
+
+def __getattr__(name: str):
+    # scipy.optimize costs about 17 MB and 0.14 s to import; only a fit needs it
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -205,11 +218,13 @@ def fit_surrogate(
         rng = np.random.default_rng(seed)
         draws = [np.array([rng.uniform(lo, hi) for lo, hi in log_bounds]) for _ in range(restarts - 1)]
         starts = [start0, *draws]
+    # looked up per fit, so a minimize set on the module is the one called
+    optimizer = globals().get("minimize") or __getattr__("minimize")
     best_params: np.ndarray | None = None
     best_val = math.inf
     nfev = 0
     for p0 in starts:
-        res = minimize(
+        res = optimizer(
             _nll,
             p0,
             args=(d2, y),

@@ -421,6 +421,11 @@ def test_dijkstra_matches_bellman_ford():
         if isinstance(g, IntGraph):
             assert all(type(d) is int or d == math.inf for d in got)
             int_infs += got.count(math.inf)
+        # a sequence of sources is one run giving each source's list; repr
+        # tells 2 from 2.0 and keeps every bit of a float
+        sources = rng.integers(0, g.n, size=int(rng.integers(1, 5))).tolist()
+        assert repr(dijkstra(g, sources)) == repr([dijkstra(g, s) for s in sources])
+        assert repr(dijkstra(g, tuple(sources))) == repr([dijkstra(g, s) for s in sources])
     assert int_infs > 0
 
 
@@ -451,11 +456,22 @@ def test_dijkstra_refuses_int_distances_past_float64():
     assert dijkstra(g, 1) == [2**52, 0, 2**52]
     with pytest.raises(ValueError):  # 0 to 2 is 2**53
         dijkstra(g, 0)
+    assert dijkstra(g, [1]) == [[2**52, 0, 2**52]]
+    with pytest.raises(ValueError, match="from 2 reach"):
+        dijkstra(g, [1, 2])
+
+
+def test_dijkstra_of_no_sources_is_empty():
+    g = _random_graph(np.random.default_rng(0), 4)
+    assert dijkstra(g, []) == []
+    assert dijkstra(g, ()) == []
 
 
 def test_dijkstra_source_out_of_range():
     g = _random_graph(np.random.default_rng(0), 4)
     with pytest.raises(ValueError):
         dijkstra(g, 9)
+    with pytest.raises(ValueError):
+        dijkstra(g, [0, 9, 1])
     with pytest.raises(ValueError):
         shortest_path(g, -1, 0)

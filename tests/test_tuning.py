@@ -9,18 +9,24 @@ optimum against a finite-difference L-BFGS-B run from the same starts; a fit
 started at another fit's optimum must not end worse.  The loop runs on
 synthetic objectives with a known optimum, and on a small roadmap, where
 scoring a population's error in one call must keep every pick; one seeded
-tune's picks are pinned to the last bit.
+tune's picks are pinned to the last bit.  A fresh interpreter that only
+imports the package and solves must not import scipy.optimize.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
+import intmapf
 from intmapf import Observation, TuneConfig, TuneResult, nsga2_evolve, tune, tune_graph, tuning
 from intmapf.graph import RealGraph, Vertex, discretization_error
 from intmapf.mapio import Instance
@@ -461,6 +467,26 @@ def test_later_fits_run_two_starts_each(monkeypatch):
     assert len(picks) == 5
     assert len(runs) == cfg.restarts + 2 * (len(picks) - 1)
     assert sum(r.nfev for r in picks) == sum(runs)
+
+
+_SOLVE_ONLY = """
+import sys
+import intmapf, intmapf.cli
+from intmapf import Instance, IntGraph, Solution, Vertex, solve
+g = IntGraph([Vertex(i, (float(i), 0.0)) for i in range(4)], [(0, 1, 1), (1, 2, 1), (1, 3, 2)])
+assert isinstance(solve(Instance(g, (0, 2), (2, 3))), Solution)
+assert "scipy.optimize" not in sys.modules, "solving imported scipy.optimize"
+import scipy.optimize
+assert intmapf.tuning.minimize is scipy.optimize.minimize
+"""
+
+
+def test_solving_never_imports_the_optimizer():
+    # scipy.optimize is loaded by the first surrogate fit, so a fresh
+    # interpreter that only imports the package and solves never pays for it
+    env = dict(os.environ, PYTHONPATH=str(Path(intmapf.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _SOLVE_ONLY], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_warm_start_at_the_cold_optimum_loses_nothing():
