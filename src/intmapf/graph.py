@@ -7,6 +7,12 @@ segment between the two cell centers is passable; its weight is the Euclidean
 length of the offset.  Real-weighted graphs are discretized to integer weights
 by a scale factor s, and the rounding error accumulated along a set of paths
 measures how much a discretization distorts those paths.
+
+A graph is a layout plus a weight list.  The layout is everything the edge
+set fixes (sorted edge keys, adjacency slots, CSR index arrays, largest
+degree); a RealGraph builds it once, and every discretize(g, s) shares it,
+so trying many scales re-validates, sorts and indexes nothing: only the
+weights are rounded, in one array operation per scale.
 """
 
 from __future__ import annotations
@@ -45,21 +51,61 @@ class Vertex:
     pos: tuple[float, float]
 
 
+class _Layout:
+    """Everything an edge set fixes, whatever its weights.
+
+    keys lists the edges as (u, v) with u < v, sorted (us and vs are its two
+    columns).  Slots are the adjacency in order: vertex x owns the slots
+    spans[x], its neighbors below x, then those above it, each run ascending
+    (so sorted by id); slot i reaches slot_nbr[i] over edge keys[slot_edge[i]].
+    indptr and indices are the per-vertex slot offsets and slot_nbr as arrays,
+    the index arrays of the graph's CSR.  Built once per edge set and never
+    written to afterwards.
+    """
+
+    def __init__(self, n: int, keys: list[tuple[int, int]]):
+        m = len(keys)
+        self.keys = keys
+        self.us, self.vs = (list(col) for col in zip(*keys)) if keys else ([], [])
+        index = np.int32 if max(n, 2 * m) < 2**31 else np.int64
+        # one slot per edge end: slot k < m is edge k seen from u, slot m + k from v
+        ends = np.array(self.us + self.vs, dtype=index)
+        far = np.array(self.vs + self.us, dtype=index)
+        order = np.lexsort((far, ends))  # by vertex, then by neighbor
+        self.indices = far[order]
+        self.slot_edge_array = order % max(m, 1)
+        degree = np.bincount(ends, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(degree)]).astype(index)
+        self.slot_nbr = self.indices.tolist()
+        self.slot_edge = self.slot_edge_array.tolist()
+        offsets = self.indptr.tolist()
+        self.spans = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+        self.max_degree = int(degree.max()) if n else 1
+        for arr in (self.indptr, self.indices, self.slot_edge_array):
+            arr.flags.writeable = False
+
+
 class _BaseGraph:
     """Shared storage and validation for real- and integer-weighted graphs.
 
     Vertices must have ids 0..n-1 in order.  Edges are undirected, stored once
     with u < v, and exposed through a per-vertex adjacency list sorted by
-    neighbor id.  Instances are treated as immutable after construction, so
-    what is derived from the edges is computed once, on first use.
+    neighbor id.  A graph is one _Layout (what its edge set fixes: the sorted
+    keys, the adjacency slots, the CSR index arrays, max_degree) plus one
+    weight per key.  The constructor validates the edges and builds the
+    layout; discretize builds its IntGraph on the real graph's layout, so
+    every discretization of a graph shares it.  adjacency is assembled from
+    the two at once.  Instances are treated as immutable after construction,
+    so the rest (edges, the weight lookup, csr) is assembled once, on first
+    use; a solve reads only adjacency, max_degree, max_weight and csr.
     """
 
     def __init__(self, vertices: Sequence[Vertex], edges: Iterable[tuple[int, int, float]]):
-        self.vertices: tuple[Vertex, ...] = tuple(vertices)
-        for idx, v in enumerate(self.vertices):
+        vertices = tuple(vertices)
+        for idx, v in enumerate(vertices):
             if v.id != idx:
                 raise ValueError(f"vertex ids must be 0..n-1 in order, found id {v.id} at index {idx}")
-        n = len(self.vertices)
+        n = len(vertices)
         canon: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
             if u == v:
@@ -71,15 +117,25 @@ class _BaseGraph:
             if key in canon and canon[key] != w:
                 raise ValueError(f"edge {key} listed twice with different weights")
             canon[key] = w
-        self._weight = canon
-        self.edges: tuple[tuple[int, int, float], ...] = tuple((u, v, canon[(u, v)]) for u, v in sorted(canon))
-        # edges run in (u, v) order with u < v, so each vertex x first gets its
-        # neighbors below x, then those above it, each run ascending
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self.adjacency: tuple[tuple[tuple[int, float], ...], ...] = tuple(map(tuple, adj))
+        keys = sorted(canon)
+        self._assemble(vertices, _Layout(n, keys), [canon[k] for k in keys])
+
+    @classmethod
+    def _on_layout(cls, vertices: tuple[Vertex, ...], layout: _Layout, weights: list, weight_array: np.ndarray):
+        """A graph on an already validated layout: weights[i] (== weight_array[i]) on edge layout.keys[i]."""
+        graph = cls.__new__(cls)
+        graph._assemble(vertices, layout, weights)
+        graph._weight_array = weight_array
+        return graph
+
+    def _assemble(self, vertices: tuple[Vertex, ...], layout: _Layout, weights: list) -> None:
+        self.vertices: tuple[Vertex, ...] = vertices
+        self._layout = layout
+        self._weights = weights
+        slots = list(zip(layout.slot_nbr, map(weights.__getitem__, layout.slot_edge)))
+        self.adjacency: tuple[tuple[tuple[int, float], ...], ...] = tuple(
+            map(tuple, map(slots.__getitem__, layout.spans))
+        )
 
     def _check_weight(self, u: int, v: int, w: float) -> None:
         raise NotImplementedError
@@ -89,23 +145,44 @@ class _BaseGraph:
         return len(self.vertices)
 
     @cached_property
-    def max_weight(self) -> float:
-        """Largest edge weight (1 for a graph without edges)."""
-        return max((w for _, _, w in self.edges), default=1)
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Every edge once as (u, v, w) with u < v, sorted by (u, v)."""
+        layout = self._layout
+        return tuple(zip(layout.us, layout.vs, self._weights))
 
     @cached_property
+    def _weight(self) -> dict[tuple[int, int], float]:
+        """Weight by (u, v) key, u < v."""
+        return dict(zip(self._layout.keys, self._weights))
+
+    @cached_property
+    def max_weight(self) -> float:
+        """Largest edge weight (1 for a graph without edges)."""
+        return max(self._weights, default=1)
+
+    @property
     def max_degree(self) -> int:
-        """Largest number of neighbors of any vertex (1 for a graph without edges)."""
-        return max((len(nbrs) for nbrs in self.adjacency), default=1)
+        """Largest number of neighbors of any vertex (0 without edges, 1 without vertices)."""
+        return self._layout.max_degree
+
+    @cached_property
+    def _weight_array(self) -> np.ndarray:
+        """The weights as float64, one per layout key (read-only)."""
+        arr = np.array(self._weights, dtype=np.float64)
+        arr.flags.writeable = False
+        return arr
 
     @cached_property
     def csr(self) -> csr_matrix:
-        """The adjacency as an n x n sparse matrix: both directions, float64 weights."""
-        u = np.array([e[0] for e in self.edges], dtype=np.int64)
-        v = np.array([e[1] for e in self.edges], dtype=np.int64)
-        w = np.array([e[2] for e in self.edges], dtype=np.float64)
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(self.n, self.n))
+        """The adjacency as an n x n sparse matrix: both directions, float64 weights.
+
+        Its rows follow the adjacency (column indices sorted), so it is the
+        layout's indptr and indices with each slot's weight; the two index
+        arrays are copied, so no two graphs' matrices share writable memory.
+        """
+        layout = self._layout
+        data = self._weight_array[layout.slot_edge_array]
+        return csr_matrix((data, layout.indices.copy(), layout.indptr.copy()), shape=(self.n, self.n))
 
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
@@ -249,11 +326,13 @@ def round_half_away(x: float) -> int:
 def _checked_scales(g: RealGraph, s) -> np.ndarray:
     """s as a float array; ValueError unless every scale and every w / s is positive and finite."""
     scales = np.asarray(s, dtype=float)
-    if not np.all((scales > 0) & np.isfinite(scales)):
-        raise ValueError(f"scale s must be a positive finite real, got {s!r}")
-    with np.errstate(over="ignore"):
-        # w / s grows with w, so the largest weight overflows first
-        if g.edges and not np.all(np.isfinite(g.max_weight / scales)):
+    if scales.size:
+        lo, hi = float(scales.min()), float(scales.max())
+        # min and max carry a NaN through, and a NaN fails both comparisons
+        if not (lo > 0 and hi < math.inf):
+            raise ValueError(f"scale s must be a positive finite real, got {s!r}")
+        # w / s grows with w and falls with s: the largest weight at the smallest scale overflows first
+        if g.edges and not math.isfinite(float(g.max_weight) / lo):
             raise ValueError(f"scale s={s!r} overflows w / s for the weight {g.max_weight!r}")
     return scales
 
@@ -262,12 +341,20 @@ def discretize(g: RealGraph, s: float) -> IntGraph:
     """Map real weights to integers: w -> max(1, round(w / s)), halves away from zero.
 
     Vertices, positions, and the edge set are preserved, so connectivity never
-    changes; only weights do.  s must be positive and finite, and w / s
+    changes; only weights do.  The result is built on g's layout (nothing
+    about the edge set is checked or sorted again), so every discretization
+    of g shares it.  s is one scale, a value of ndim 0 (ValueError for an
+    array of any other shape).  s must be positive and finite, and w / s
     finite for every weight w (ValueError otherwise).
     """
-    _checked_scales(g, s)
-    edges = [(u, v, max(1, round_half_away(w / s))) for u, v, w in g.edges]
-    return IntGraph(g.vertices, edges)
+    if np.ndim(s) != 0:
+        raise ValueError(f"discretize takes one scale, got an array of shape {np.shape(s)}")
+    scale = _checked_scales(g, s)
+    # the IEEE divide, add and floor of round_half_away, over all weights at once;
+    # int() keeps weights past 2**63 exact
+    ticks = np.maximum(np.floor(g._weight_array / scale + 0.5), 1.0)
+    ticks.flags.writeable = False
+    return IntGraph._on_layout(g.vertices, g._layout, list(map(int, ticks.tolist())), ticks)
 
 
 def discretization_error(g: RealGraph, s, paths: Iterable[Sequence[int]]):
@@ -276,7 +363,8 @@ def discretization_error(g: RealGraph, s, paths: Iterable[Sequence[int]]):
     For every consecutive traversal (u, v) in every path, accumulates
     |w - round(w / s) * s| with the unclamped round, where w is the real
     weight.  Repeated traversals of an edge count once per traversal.  Raises
-    if a path uses a pair with no edge.
+    if a path uses a pair with no edge, naming the first such hop as it was
+    traversed.
 
     s is one scale (the result is a float) or an array of scales (the result
     is an array of the same shape, one total per scale).  Each total is summed
@@ -285,16 +373,13 @@ def discretization_error(g: RealGraph, s, paths: Iterable[Sequence[int]]):
     checked as discretize checks them.
     """
     scales = _checked_scales(g, s)
-    weight = g._weight
-    ws = []
-    for path in paths:
-        for u, v in zip(path, path[1:]):
-            if u == v:
-                continue
-            try:
-                ws.append(weight[(u, v) if u < v else (v, u)])
-            except KeyError:
-                raise ValueError(f"no edge between {u} and {v}") from None
+    paths = list(paths)
+    hops = [(u, v) if u < v else (v, u) for path in paths for u, v in zip(path, path[1:]) if u != v]
+    try:
+        ws = list(map(g._weight.__getitem__, hops))
+    except KeyError:
+        u, v = next((u, v) for path in paths for u, v in zip(path, path[1:]) if u != v and not g.has_edge(u, v))
+        raise ValueError(f"no edge between {u} and {v}") from None
     if not ws:
         return 0.0 if scales.ndim == 0 else np.zeros(scales.shape)
     S = scales.reshape(1, -1)

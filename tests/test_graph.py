@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from intmapf import (
     GridSpec,
@@ -238,6 +239,11 @@ def test_discretize_rounds_and_clamps():
     assert [w for _, _, w in discretize(g, 1.0).edges] == [1, 1]  # 0.2 clamps to 1
     with pytest.raises(ValueError):
         discretize(g, 0.0)
+    # one scale only: a 0-d array is one, an array of any other shape is not
+    assert [w for _, _, w in discretize(g, np.array(0.5)).edges] == [3, 1]
+    for many in (np.array([0.5]), np.array([[0.5]]), np.array([0.5, 1.0]), np.array([]), [0.5]):
+        with pytest.raises(ValueError, match="one scale"):
+            discretize(g, many)
 
 
 def test_discretization_error_zero_for_exact_representation():
@@ -351,6 +357,8 @@ def test_discretization_error_scalar_empty_and_invalid_scales():
             discretization_error(g, bad, [[0, 1]])
     with pytest.raises(ValueError, match="no edge between 0 and 2"):
         discretization_error(g, scales, [[0, 1], [0, 2]])
+    with pytest.raises(ValueError, match="no edge between 2 and 0"):
+        discretization_error(g, scales, [[2, 0]])
 
 
 def test_overflowing_scale_raises_the_same_value_error():
@@ -391,6 +399,72 @@ def test_discretized_costs_scale_back_to_real_costs():
         gi = discretize(g, s)
         for (u, v, w), (_, _, wi) in zip(g.edges, gi.edges):
             assert abs(w - wi * s) <= 0.5 * s + 1e-12  # each weight lands within half a tick
+
+
+def _coo_csr(g):
+    """The adjacency matrix built from the edge list alone, both directions."""
+    u = np.array([e[0] for e in g.edges], dtype=np.int64)
+    v = np.array([e[1] for e in g.edges], dtype=np.int64)
+    w = np.array([e[2] for e in g.edges], dtype=np.float64)
+    return csr_matrix((np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(g.n, g.n))
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+    assert a.data.dtype == b.data.dtype == np.float64 and a.indices.dtype == b.indices.dtype
+    assert a.has_sorted_indices and b.has_sorted_indices
+
+
+def test_discretization_equals_the_validating_constructor():
+    # discretize builds on the real graph's layout without checking the edges
+    # again; the result must be the graph the checking constructor builds
+    rng = np.random.default_rng(24)
+    graphs = [RealGraph(_line_vertices(n), []) for n in (0, 1, 5)]
+    for _ in range(25):
+        n = int(rng.integers(2, 14))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        # quarter weights: at s = 0.5 and 0.25 many w / s land exactly on k + 0.5
+        ws = rng.integers(1, 13, size=len(pairs)) * 0.25
+        edges = [(v, u, float(w)) if rng.random() < 0.5 else (u, v, float(w)) for (u, v), w in zip(pairs, ws)]
+        rng.shuffle(edges)
+        graphs.append(RealGraph(_line_vertices(n), edges))
+    for g in graphs:
+        _assert_same_csr(g.csr, _coo_csr(g))
+        for s in (0.5, 0.25, 1.0, 2.0, 0.3, 1e-300):
+            got = discretize(g, s)
+            want = IntGraph(g.vertices, [(u, v, max(1, round_half_away(w / s))) for u, v, w in g.edges])
+            assert got.vertices == want.vertices
+            assert got.edges == want.edges and all(type(w) is int for _, _, w in got.edges)
+            assert got.adjacency == want.adjacency
+            assert (got.max_weight, got.max_degree) == (want.max_weight, want.max_degree)
+            for u in range(g.n):
+                for v in range(g.n):
+                    assert got.has_edge(u, v) == want.has_edge(u, v)
+                    if want.has_edge(u, v):
+                        assert got.weight(u, v) == want.weight(u, v)
+            _assert_same_csr(got.csr, want.csr)
+            _assert_same_csr(got.csr, _coo_csr(want))
+
+
+def test_discretizations_share_no_writable_memory():
+    g = _random_graph(np.random.default_rng(25), 9)
+    graphs = [g, discretize(g, 0.5), discretize(g, 0.7)]
+    arrays = [(m.indptr, m.indices, m.data) for m in (x.csr for x in graphs)]
+    for i in range(len(arrays)):
+        for j in range(i + 1, len(arrays)):
+            for a in arrays[i]:
+                for b in arrays[j]:
+                    assert not np.shares_memory(a, b), (i, j)
+    # writing into one graph's matrix leaves every other graph on the layout as it was
+    before = [_coo_csr(x) for x in graphs]
+    m = graphs[1].csr
+    m.data *= 2.0
+    m.indices[:] = 0
+    m.indptr[1:] = 0
+    for x, want in zip([graphs[0], graphs[2], discretize(g, 0.5)], [before[0], before[2], before[1]]):
+        _assert_same_csr(x.csr, want)
 
 
 # ---------------------------------------------------------------------------
