@@ -36,13 +36,12 @@ edge conflicts at its departure.
 
 Detection works pair by pair: a pair's earliest conflict depends only on its
 two plans, checked until the longer one ends.  A child replans one or two
-agents and shares every other plan object with its parent, so within one
-solve a PairMemo keeps each plan's occupancy and each pair's result, keyed by
-the agents and the plans' ids, and an expanded node computes only the pairs
-that hold a new plan; SearchStats.pairs_reused counts the rest.  The memo
-holds every plan it keys, so no id is reused while it lives, and it is
-dropped with the solve.  The replanning test for a positive constraint reads
-the same occupancy.
+agents and shares every other plan with its parent, so when it is built it
+keeps the agents it replanned and its parent's conflicts between two agents
+it left alone.  Expanding it checks only the pairs that hold a replanned
+agent and merges in the kept conflicts; SearchStats.pairs_reused counts the
+pairs kept.  Within one solve each plan's occupancy is built once, and the
+replanning test for a positive constraint reads it too.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ import heapq
 import math
 import time as _time
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import NamedTuple, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import IntGraph, dijkstra
 from .mapio import Instance
@@ -66,7 +65,6 @@ __all__ = [
     "Failure",
     "SolveConfig",
     "Violation",
-    "PairMemo",
     "detect_conflicts",
     "make_branch_constraints",
     "classify_conflict",
@@ -76,7 +74,6 @@ __all__ = [
 ]
 
 Traversal = tuple[int, int, int, int]  # (from, to, depart, arrive)
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -97,6 +94,8 @@ class CTNode:
     plans: tuple[TimedPlan, ...]
     cost: int  # makespan of the plans
     soc: int  # sum of their costs
+    replanned: tuple[int, ...]  # agents whose plans are not the parent's; every agent at the root
+    kept: tuple[Conflict, ...]  # the parent's conflicts between two agents not replanned
 
 
 @dataclass
@@ -109,7 +108,7 @@ class SearchStats:
     picked_semi: int = 0
     picked_non: int = 0
     plans_reused: int = 0  # of low_level_calls, answered from the solve's memo
-    pairs_reused: int = 0  # plan pairs whose conflict check the solve's pair memo answered
+    pairs_reused: int = 0  # agent pairs expanded nodes kept from their parents unchecked: C(n - k, 2) for k replanned
     wall_time: float = 0.0
 
 
@@ -167,38 +166,26 @@ class Occupancy(NamedTuple):
     plan: TimedPlan  # held, so that no other object takes over the plan's id
 
 
-class PairMemo:
-    """What detect_conflicts learned about plans, for later calls to reuse.
+def _occupancy(cache: dict[int, Occupancy], plan: TimedPlan) -> Occupancy:
+    """plan's Occupancy, built on the first request and kept in cache under id(plan)."""
+    entry = cache.get(id(plan))
+    if entry is None:
+        steps = plan.steps
+        occupied = set(steps)
+        crossings: dict[tuple[int, int], tuple[Traversal, ...]] = {}
+        for (u, ta), (v, tb) in zip(steps, steps[1:]):
+            if u != v:
+                e = (u, v) if u < v else (v, u)
+                crossings[e] = crossings.get(e, ()) + ((u, v, ta, tb),)
+            elif tb - ta > 1:
+                occupied.update((u, t) for t in range(ta + 1, tb))
+        last, cost = steps[-1]
+        vertices = {v for v, _ in steps}
+        entry = cache[id(plan)] = Occupancy(occupied, vertices, crossings, cost, last, plan)
+    return entry
 
-    occupancy(plan) is computed once per plan object.  pairs maps
-    (i, j, id(plan_i), id(plan_j)) to that pair's earliest conflict, or None;
-    every plan a key names is held by its Occupancy, so the id stays its own
-    while the memo lives.  reused counts the pair checks answered from pairs.
-    """
 
-    __slots__ = ("_occupancy", "pairs", "reused")
-
-    def __init__(self) -> None:
-        self._occupancy: dict[int, Occupancy] = {}
-        self.pairs: dict[tuple[int, int, int, int], Conflict | None] = {}
-        self.reused = 0
-
-    def occupancy(self, plan: TimedPlan) -> Occupancy:
-        entry = self._occupancy.get(id(plan))
-        if entry is None:
-            steps = plan.steps
-            occupied = set(steps)
-            crossings: dict[tuple[int, int], tuple[Traversal, ...]] = {}
-            for (u, ta), (v, tb) in zip(steps, steps[1:]):
-                if u != v:
-                    e = (u, v) if u < v else (v, u)
-                    crossings[e] = crossings.get(e, ()) + ((u, v, ta, tb),)
-                elif tb - ta > 1:
-                    occupied.update((u, t) for t in range(ta + 1, tb))
-            last, cost = steps[-1]
-            vertices = {v for v, _ in steps}
-            entry = self._occupancy[id(plan)] = Occupancy(occupied, vertices, crossings, cost, last, plan)
-        return entry
+_BY_TIME = attrgetter("time", "agents")
 
 
 def _pair_conflict(i: int, occ_i: Occupancy, j: int, occ_j: Occupancy) -> Conflict | None:
@@ -232,7 +219,9 @@ def _pair_conflict(i: int, occ_i: Occupancy, j: int, occ_j: Occupancy) -> Confli
     return None
 
 
-def detect_conflicts(plans: Sequence[TimedPlan], memo: PairMemo | None = None) -> list[Conflict]:
+def detect_conflicts(
+    plans: Sequence[TimedPlan], agents: Iterable[int] | None = None, cache: dict[int, Occupancy] | None = None
+) -> list[Conflict]:
     """Earliest conflict for every agent pair, sorted by (time, agents).
 
     An agent occupies (v, t) at each plan step, through each wait, and on its
@@ -244,36 +233,31 @@ def detect_conflicts(plans: Sequence[TimedPlan], memo: PairMemo | None = None) -
     inside one traversal at a time, and two agents crossing an edge head-on
     are at its two ends or inside it, never on one vertex.
 
-    A memo carries each plan's occupancy and each pair's result from one call
-    to the next, so two plan objects already compared at the same two indices
-    cost one lookup.  Plans are immutable and the memo holds every plan it has
-    seen, so an id in a key always names the same plan.  The key also holds
-    both indices, because a result names its agents: a plan object may appear
-    at any index, in any call.  Without a memo the call uses a fresh one.
+    With agents given, only the pairs that hold one of them are checked.
+    cache maps id(plan) to the plan's Occupancy (see _occupancy); each entry
+    holds its plan, so the id stays the plan's while the cache lives.
+    Without a cache the call builds every occupancy afresh.
     """
     if not plans:
         raise ValueError("detect_conflicts needs at least one plan")
-    if memo is None:
-        memo = PairMemo()
-    pairs = memo.pairs
-    before = len(pairs)
-    ids = [id(p) for p in plans]
-    occ = None  # read on the first miss
-    found = []
-    for j in range(1, len(plans)):
-        id_j = ids[j]
-        for i in range(j):
-            key = (i, j, ids[i], id_j)
-            c = pairs.get(key, _MISSING)
-            if c is _MISSING:
-                if occ is None:
-                    occ = [memo.occupancy(p) for p in plans]
-                c = pairs[key] = _pair_conflict(i, occ[i], j, occ[j])
-            if c is not None:
-                found.append(c)
     n = len(plans)
-    memo.reused += n * (n - 1) // 2 - (len(pairs) - before)
-    found.sort(key=lambda c: (c.time, c.agents))
+    todo = sorted(set(range(n) if agents is None else agents))
+    if todo and not 0 <= todo[0] <= todo[-1] < n:
+        raise ValueError(f"agents must index the {n} plans, got {todo}")
+    if cache is None:
+        cache = {}
+    occ = [_occupancy(cache, p) for p in plans]
+    found = []
+    done: set[int] = set()
+    for a in todo:
+        done.add(a)
+        for b in range(n):
+            if b not in done:
+                i, j = (a, b) if a < b else (b, a)
+                c = _pair_conflict(i, occ[i], j, occ[j])
+                if c is not None:
+                    found.append(c)
+    found.sort(key=_BY_TIME)
     return found
 
 
@@ -328,7 +312,7 @@ class _Ctx:
         self.deadline = deadline
         self.stats = SearchStats()
         self.memo: dict[tuple[int, ConstraintSet], TimedPlan | None] = {}
-        self.pairs = PairMemo()
+        self.occupancy: dict[int, Occupancy] = {}
         self.dist = dijkstra(graph, goals)
         if config.horizon is not None:
             self.horizon = config.horizon
@@ -362,36 +346,44 @@ class _Ctx:
         return plan
 
 
-def _replan_agents(conflict_bundle: ConstraintSet, plans: Sequence[TimedPlan], pairs: PairMemo) -> list[int]:
+def _replan_agents(bundle: ConstraintSet, plans: Sequence[TimedPlan], cache: dict[int, Occupancy]) -> list[int]:
     """Agents whose current plan may violate the freshly added constraints.
 
     An agent is at v at time t exactly when its plan's occupancy holds (v, t),
     or t is past its cost and v is its last vertex.
     """
     agents: set[int] = set()
-    for a, _, _ in conflict_bundle.neg_vertex:
+    for a, _, _ in bundle.neg_vertex:
         agents.add(a)
-    for a, _, _ in conflict_bundle.neg_edge:
+    for a, _, _ in bundle.neg_edge:
         agents.add(a)
-    for i, v, t in conflict_bundle.pos_vertex:
+    for i, v, t in bundle.pos_vertex:
         agents.add(i)
         for j, plan in enumerate(plans):
-            occ = pairs.occupancy(plan)
+            occ = _occupancy(cache, plan)
             if j != i and ((v, t) in occ.occupied or (t > occ.cost and occ.last == v)):
                 agents.add(j)
     return sorted(agents)
 
 
-def _node(constraints: tuple[ConstraintSet, ...], plans: tuple[TimedPlan, ...]) -> CTNode:
-    return CTNode(constraints, plans, max(p.cost for p in plans), sum(p.cost for p in plans))
+def _node(
+    constraints: tuple[ConstraintSet, ...],
+    plans: tuple[TimedPlan, ...],
+    replanned: tuple[int, ...],
+    kept: tuple[Conflict, ...],
+) -> CTNode:
+    return CTNode(constraints, plans, max(p.cost for p in plans), sum(p.cost for p in plans), replanned, kept)
 
 
-def _children(ctx: _Ctx, node: CTNode, conflict: Conflict) -> tuple[CTNode | None, ...]:
-    """The two children a conflict splits node into; None where a replanned agent has no plan."""
+def _children(ctx: _Ctx, node: CTNode, conflicts: list[Conflict], conflict: Conflict) -> tuple[CTNode | None, ...]:
+    """The two children conflict splits node into; None where a replanned agent has no plan.
+
+    conflicts are node's own; a child keeps those between two agents it does not replan.
+    """
     children: list[CTNode | None] = []
     for delta in make_branch_constraints(conflict, ctx.config.disjoint):
         ctx.check_deadline()
-        replan = _replan_agents(delta, node.plans, ctx.pairs)
+        replan = _replan_agents(delta, node.plans, ctx.occupancy)
         constraints = list(node.constraints)
         # a delta is one constraint: a negative binds only its agent (the one replanned), a positive all
         for a in range(len(constraints)) if delta.pos_vertex else replan:
@@ -404,7 +396,8 @@ def _children(ctx: _Ctx, node: CTNode, conflict: Conflict) -> tuple[CTNode | Non
                 break
             plans[a] = p
         else:
-            children.append(_node(tuple(constraints), tuple(plans)))
+            kept = tuple(c for c in conflicts if c.agents[0] not in replan and c.agents[1] not in replan)
+            children.append(_node(tuple(constraints), tuple(plans), tuple(replan), kept))
     return tuple(children)
 
 
@@ -419,7 +412,7 @@ def _split(ctx: _Ctx, node: CTNode, conflicts: list[Conflict]) -> tuple[CTNode |
     """
     picked_class, picked = "", ()
     for conflict in conflicts[: ctx.config.lazy_pc]:
-        children = _children(ctx, node, conflict)
+        children = _children(ctx, node, conflicts, conflict)
         cls = classify_conflict(node.cost, [math.inf if c is None else c.cost for c in children])
         if not picked or _PC_RANK[cls] > _PC_RANK[picked_class]:
             picked_class, picked = cls, children
@@ -453,7 +446,6 @@ def solve(instance: Instance, config: SolveConfig | None = None):
 
     def finish(result):
         ctx.stats.wall_time = _time.perf_counter() - t0
-        ctx.stats.pairs_reused = ctx.pairs.reused
         return result
 
     try:
@@ -464,7 +456,7 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             if p is None:
                 return finish(Failure("exhausted", ctx.stats))
             root_plans.append(p)
-        root = _node((EMPTY_CONSTRAINTS,) * instance.n_agents, tuple(root_plans))
+        root = _node((EMPTY_CONSTRAINTS,) * instance.n_agents, tuple(root_plans), tuple(range(instance.n_agents)), ())
         ctx.stats.nodes_generated += 1
         # the unique tick settles every tie, so nodes themselves are never compared
         tick = 0
@@ -473,7 +465,12 @@ def solve(instance: Instance, config: SolveConfig | None = None):
             ctx.check_deadline()
             node = heapq.heappop(open_heap)[3]
             ctx.stats.nodes_expanded += 1
-            conflicts = detect_conflicts(node.plans, ctx.pairs)
+            # the pairs that hold a replanned agent are checked; the rest kept their parent's conflicts
+            conflicts = detect_conflicts(node.plans, node.replanned, ctx.occupancy)
+            conflicts += node.kept
+            conflicts.sort(key=_BY_TIME)
+            left = instance.n_agents - len(node.replanned)
+            ctx.stats.pairs_reused += left * (left - 1) // 2
             if not conflicts:
                 return finish(Solution(node.plans, node.cost, ctx.stats))
             for child in _split(ctx, node, conflicts):

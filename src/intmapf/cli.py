@@ -53,6 +53,11 @@ def _from_flags(fn, args):
     return fn(**{p: given[p] for p in inspect.signature(fn).parameters if p in given})
 
 
+def _tune(args, inst):
+    """tune_graph on inst under the tuning and solve flags."""
+    return tune_graph(inst, _from_flags(TuneConfig, args), solve_config=_from_flags(SolveConfig, args), seed=args.seed)
+
+
 def _say(name: str, value) -> None:
     print(f"{name}={_cell(value)}")
 
@@ -61,9 +66,7 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args)
     s = args.s
     if s is _TUNE:
-        tuned = tune_graph(
-            inst, _from_flags(TuneConfig, args), solve_config=_from_flags(SolveConfig, args), seed=args.seed
-        )
+        tuned = _tune(args, inst)
         if tuned.best_s is None:
             print("tuning found no successful evaluation", file=sys.stderr)
             return 1
@@ -96,9 +99,7 @@ def _print_stats(stats: SearchStats, s: float) -> None:
 
 def _cmd_tune(args) -> int:
     inst = _load_instance(args)
-    result = tune_graph(
-        inst, _from_flags(TuneConfig, args), solve_config=_from_flags(SolveConfig, args), seed=args.seed
-    )
+    result = _tune(args, inst)
     report = format_tune_report(result)
     if args.out:
         Path(args.out).write_text(report)

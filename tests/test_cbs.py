@@ -179,37 +179,45 @@ def test_detection_matches_occupancy_oracle():
 
 def test_shared_memo_matches_fresh_detection_and_oracle():
     # As in a solve, each index draws from a few fixed plan objects, and many
-    # lists share one memo; canonical and slow plans both occur.
+    # lists share one occupancy cache; canonical and slow plans both occur.  A
+    # call restricted to some agents finds exactly the full detection's
+    # conflicts that hold one of them.
     rng = random.Random(25)
-    reused = 0
+    narrowed = 0
     for trial in range(80):
         g = _random_int_graph(rng, rng.randint(3, 7), max_w=3, p=0.6)
         pools = [[_random_plan(rng, g, slow=trial % 2 == 1) for _ in range(3)] for _ in range(rng.randint(2, 5))]
-        memo = cbs.PairMemo()
-        checks, seen = 0, set()  # the pools hold every plan, so ids stay unique
+        cache = {}  # the pools hold every plan, so ids stay unique
         for _ in range(30):
             plans = [rng.choice(pool) for pool in pools]
-            got = detect_conflicts(plans, memo)
-            assert got == detect_conflicts(plans)
-            assert [_as_tuple(c) for c in got] == first_conflicts(plans, max(p.cost for p in plans))
-            n = len(plans)
-            checks += n * (n - 1) // 2
-            seen.update((i, j, id(plans[i]), id(plans[j])) for i in range(n) for j in range(i + 1, n))
-        assert memo.reused == checks - len(seen)
-        reused += memo.reused
-    assert reused >= 5_000
+            full = detect_conflicts(plans)
+            assert [_as_tuple(c) for c in full] == first_conflicts(plans, max(p.cost for p in plans))
+            assert detect_conflicts(plans, cache=cache) == full
+            agents = rng.sample(range(len(plans)), rng.randint(1, len(plans)))
+            got = detect_conflicts(plans, agents, cache)
+            assert got == [c for c in full if c.agents[0] in agents or c.agents[1] in agents]
+            narrowed += 0 < len(got) < len(full)
+            with pytest.raises(ValueError, match="agents must index"):
+                detect_conflicts(plans, [len(plans)] if trial % 2 else [-1], cache)
+        pooled = [p for pool in pools for p in pool]
+        assert len(cache) <= len(pooled) and all(cache[id(p)].plan is p for p in pooled if id(p) in cache)
+    assert narrowed >= 200
 
 
 def test_memo_keeps_one_plan_object_at_several_indices_apart():
     # A result names its agents, so the same two plan objects at other
-    # indices must not be answered with the first pair's conflict.
+    # indices, read through one occupancy cache, must not be answered with
+    # the first pair's conflict.
     p = _plan((0, 0), (1, 1))
     q = _plan((2, 0), (1, 1))
-    memo = cbs.PairMemo()
+    cache = {}
     for plans in ([p, q], [p, q, p, q], [q, p, q]):
         want = first_conflicts(plans, 1)
-        assert [_as_tuple(c) for c in detect_conflicts(plans, memo)] == want
+        assert [_as_tuple(c) for c in detect_conflicts(plans, cache=cache)] == want
         assert [_as_tuple(c) for c in detect_conflicts(plans)] == want
+        for a in range(len(plans)):
+            assert [_as_tuple(c) for c in detect_conflicts(plans, (a,), cache)] == [c for c in want if a in c[1]]
+    assert len(cache) == 2
 
 
 # ---------------------------------------------------------------- branching
@@ -433,10 +441,10 @@ def test_only_expanded_nodes_are_checked_for_conflicts(monkeypatch):
     calls = 0
     original = cbs.detect_conflicts
 
-    def counted(plans, memo=None):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return original(plans, memo)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(cbs, "detect_conflicts", counted)
     left_open = False
@@ -481,9 +489,9 @@ def test_each_node_keeps_one_constraint_set_per_agent(monkeypatch):
     nodes = []
     original = cbs._node
 
-    def recorder(constraints, plans):
+    def recorder(constraints, *rest):
         nodes.append(constraints)
-        return original(constraints, plans)
+        return original(constraints, *rest)
 
     monkeypatch.setattr(cbs, "_node", recorder)
     positives_seen = False

@@ -195,27 +195,30 @@ def test_cbs_with_automatic_horizon_is_optimal_or_says_horizon(inst, disjoint):
 
 @CBS_PROPERTY
 @given(cbs_instances(), st.booleans())
-def test_pair_memo_gives_every_node_the_memo_free_conflicts(inst, disjoint):
-    # Every expanded node's conflicts, read through the solve's pair memo,
-    # equal a memo-free call on the same plans; pairs_reused counts the
-    # (agents, plan objects) pairs seen before, and the replanning test for a
-    # positive constraint agrees with the oracle's occupancy.
-    detect, replan = cbs.detect_conflicts, cbs._replan_agents
-    checks, seen, held = 0, set(), []
+def test_every_expanded_node_has_the_conflicts_of_a_full_detection(inst, disjoint):
+    # Every expanded node's conflicts, the ones it kept from its parent merged
+    # with a detection restricted to the agents it replanned, equal a full
+    # detection on its plans; pairs_reused counts the C(n - k, 2) pairs each
+    # expanded node with k replanned agents kept, and the replanning test for
+    # a positive constraint agrees with the oracle's occupancy.
+    detect, split, replan = cbs.detect_conflicts, cbs._split, cbs._replan_agents
+    detected = splits = kept = 0
 
-    def checked_detect(plans, memo=None):
-        nonlocal checks
-        assert memo is not None
-        got = detect(plans, memo)
-        assert got == detect(plans)
-        n = len(plans)
-        checks += n * (n - 1) // 2
-        seen.update((i, j, id(plans[i]), id(plans[j])) for i in range(n) for j in range(i + 1, n))
-        held.append(plans)  # keeps every id in seen unique
-        return got
+    def counted_detect(plans, agents, cache):
+        nonlocal detected, kept
+        detected += 1
+        left = len(plans) - len(set(agents))
+        kept += left * (left - 1) // 2
+        return detect(plans, agents, cache)
 
-    def checked_replan(bundle, plans, pairs):
-        got = replan(bundle, plans, pairs)
+    def checked_split(ctx, node, conflicts):
+        nonlocal splits
+        splits += 1
+        assert conflicts == detect(node.plans)
+        return split(ctx, node, conflicts)
+
+    def checked_replan(bundle, plans, cache):
+        got = replan(bundle, plans, cache)
         want = {a for a, _, _ in bundle.neg_vertex} | {a for a, _, _ in bundle.neg_edge}
         for i, v, t in bundle.pos_vertex:
             want |= {i} | {j for j, plan in enumerate(plans) if oracles.vertex_of(plan, t) == v}
@@ -223,8 +226,12 @@ def test_pair_memo_gives_every_node_the_memo_free_conflicts(inst, disjoint):
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cbs, "detect_conflicts", checked_detect)
+        mp.setattr(cbs, "detect_conflicts", counted_detect)
+        mp.setattr(cbs, "_split", checked_split)
         mp.setattr(cbs, "_replan_agents", checked_replan)
         out = solve(inst, SolveConfig(disjoint=disjoint, horizon=6, timeout=TIMEOUT))
-    assert out.stats.nodes_expanded == len(held)
-    assert out.stats.pairs_reused == checks - len(seen)
+    assert out.stats.nodes_expanded == detected
+    if isinstance(out, Solution):
+        assert detect(out.plans) == []
+    assert splits == detected - isinstance(out, Solution)
+    assert out.stats.pairs_reused == kept
